@@ -445,30 +445,31 @@ def execute_request(request: dict) -> tuple[dict, int]:
 
 
 def _emit(response: dict, out) -> None:
-    json.dump(response, out, separators=(",", ":"))
-    out.write("\n")
+    # json.dumps runs the C encoder; json.dump would run the pure-Python one
+    # and write once per token.  The bytes are the same.
+    out.write(json.dumps(response, separators=(",", ":")) + "\n")
 
 
 def _run_batch(path: str, out, err) -> int:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         print(f"gq3: cannot read batch file: {exc}", file=err)
         return EXIT_USAGE
 
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            _emit({"status": "error", "code": "bad_request",
-                   "message": f"invalid JSON: {exc}"}, out)
-            continue
-        response, _ = execute_request(request)
-        _emit(response, out)
+    with handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                request = json.loads(line)
+            except json.JSONDecodeError as exc:
+                _emit({"status": "error", "code": "bad_request",
+                       "message": f"invalid JSON: {exc}"}, out)
+                continue
+            response, _ = execute_request(request)
+            _emit(response, out)
     return EXIT_OK
 
 

@@ -288,11 +288,16 @@ class GQuat:
     def is_null(self) -> bool:
         return abs(self.norm()) <= self.zero_norm_eps()
 
-    def inverse(self) -> "GQuat":
-        """Multiplicative inverse conj(p)/norm(p); raises ZeroNorm on null input."""
+    def _nonnull_norm(self) -> float:
+        """The norm; raises ZeroNorm when it is zero within ``zero_norm_eps``."""
         n = self.norm()
         if abs(n) <= self.zero_norm_eps():
             raise ZeroNorm(f"quaternion {self.components} has norm {n}, not invertible")
+        return n
+
+    def inverse(self) -> "GQuat":
+        """Multiplicative inverse conj(p)/norm(p); raises ZeroNorm on null input."""
+        n = self._nonnull_norm()
         return self.conj().scale(1.0 / n)
 
     def dot(self, other: "GQuat") -> float:

@@ -52,9 +52,11 @@ class _TaggedMatrix(np.ndarray):
         arr = np.array(data, dtype=float)
         if arr.shape != cls._shape:
             raise ValueError(f"{cls.__name__} needs shape {cls._shape}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        # isfinite flags NaN and +-inf without a RuntimeWarning; count_nonzero
+        # skips the Python-level dispatch of np.all.
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
             raise ValueError(f"{cls.__name__} entries must be finite")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         obj = arr.view(cls)
         obj.params = params
         return obj
@@ -66,7 +68,7 @@ class _TaggedMatrix(np.ndarray):
 
     def rows(self) -> list[list[float]]:
         """Row-major nested lists, the JSON wire format."""
-        return np.asarray(self, dtype=float).tolist()
+        return self.tolist()
 
 
 class Mat4(_TaggedMatrix):

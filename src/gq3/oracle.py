@@ -3,9 +3,10 @@
 Each function here recomputes something the main modules produce from a
 formula, but by a deliberately different route: term-by-term table lookup
 instead of the expanded product, repeated multiplication instead of the angle
-map, and literal conjugation of basis vectors instead of polynomial adjoint
-entries.  They are slow and that is fine; their only job is to catch
-transcription errors.
+map, literal conjugation of basis vectors instead of polynomial adjoint
+entries, and the trace definition of the Killing form instead of its
+multiple of the bilinear form.  They are slow and that is fine; their only
+job is to catch transcription errors.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
-from .core import GQuat, ParamTriple, _require_same_params
+import numpy as np
+
+from .core import GQuat, GVec3, ParamTriple, _require_same_params
 from .errors import ZeroNorm
+from .lie import ad_matrix
 from .matrices import Mat3
 
 __all__ = [
@@ -23,6 +27,7 @@ __all__ = [
     "mul_by_table",
     "pow_by_repetition",
     "conjugation_columns",
+    "killing_by_trace",
 ]
 
 # Scalar-part residue allowed when conjugation should land back in the pure part.
@@ -117,3 +122,11 @@ def conjugation_columns(p: GQuat) -> Mat3:
         cols.append((r.a1, r.a2, r.a3))
     rows = [[cols[j][i] for j in range(3)] for i in range(3)]
     return Mat3(rows, p.params)
+
+
+def killing_by_trace(x: GVec3, y: GVec3) -> float:
+    """Killing form by its definition, the trace of ad_matrix(x) @ ad_matrix(y)."""
+    _require_same_params(x.params, y.params)
+    ax = np.asarray(ad_matrix(x), dtype=float)
+    ay = np.asarray(ad_matrix(y), dtype=float)
+    return float(np.trace(ax @ ay))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import GQuat, GVec3, ParamTriple, bilinear_f
 from .errors import NonElliptic, NonUnit, NotUnitVector, ZeroNorm, NoPeriod, CongruenceViolation
-from .matrices import Mat4
+from .matrices import Mat4, _axis_discriminant
 
 __all__ = [
     "PolarForm",
@@ -78,11 +78,6 @@ class RootSet:
     roots: tuple[Mat4, ...]
 
 
-def _discriminant(p: GQuat) -> float:
-    pr = p.params
-    return pr.l12 * p.a1 * p.a1 + pr.l13 * p.a2 * p.a2 + pr.l23 * p.a3 * p.a3
-
-
 def to_polar(p: GQuat) -> PolarForm:
     """Decompose an elliptic quaternion into modulus, angle and unit axis.
 
@@ -100,7 +95,7 @@ def to_polar(p: GQuat) -> PolarForm:
     n = p.norm()
     if n <= p.zero_norm_eps():
         raise ZeroNorm(f"norm {n} is not positive; no real modulus exists")
-    d = _discriminant(p)
+    d = _axis_discriminant(p)
     if d <= 0.0:
         raise NonElliptic(f"axis discriminant {d} is not positive; element is not elliptic")
 

@@ -285,6 +285,69 @@ def test_batch_rejects_global_params(tmp_path):
     assert code == 2
 
 
+# One request per error code; every op in OPS gets a well-formed line besides.
+BATCH_ERROR_REQUESTS = [
+    {"params": [1, 1, -1], "op": "inverse", "operands": ["1,0,1,0"]},
+    {"params": [1, 1, -1], "op": "polar", "operands": ["2,0,0,1"]},
+    {"params": [1, 1, 1], "op": "mul", "operands": ["1,0,0,0", "0,1,0,0@2,3,5"]},
+    {"params": [1, 1, 1], "op": "eigenvectors", "operands": ["1,2,0,0"]},
+    {"params": [1, 1, 1], "op": "matrix-pow", "operands": ["2,0,0,0"], "options": {"n": 2}},
+    {"params": [1, 1, -1], "op": "rodrigues", "operands": ["1,0,0", 0.5]},
+    {"params": [1, 1, 1], "op": "exp", "operands": ["2,0,0", 0.5]},
+    {"params": [1, 1, 1], "op": "scaled-pow",
+     "operands": [[math.cos(1.0), math.sin(1.0), 0, 0]], "options": {"n": 3, "s": 1}},
+    {"params": [1, 1, 1], "op": "scaled-pow", "operands": ["-0.5,0.5,0.5,0.5"],
+     "options": {"n": 4, "s": 2}},
+    {"params": [1, 1, 1], "op": "mul", "operands": ["1e200,0,0,0", "1e200,0,0,0"]},
+    {"params": [1, 1, 1], "op": "frobnicate", "operands": []},
+]
+_WELL_FORMED_OPERAND = {"quat": [-0.5, 0.5, 0.5, 0.5], "vec": [0.0, 0.0, 1.0], "scalar": 0.5}
+
+
+def test_batch_bytes_equal_per_request_encoding(tmp_path):
+    requests = [
+        {"params": "hamilton", "op": name,
+         "operands": [_WELL_FORMED_OPERAND[kind] for kind in spec.operands],
+         "options": {"n": 4, "s": 1}}
+        for name, spec in OPS.items()
+    ]
+    requests += BATCH_ERROR_REQUESTS
+    requests += [
+        {"params": [1, 1, 1], "op": "norm", "operands": ["1e200,0,0,0"]},
+        {"params": "split", "op": "conj", "operands": [[-0.0, 1.5, -0.0, 2.0]]},
+    ]
+    path = tmp_path / "all.ndjson"
+    path.write_text("\n".join(json.dumps(r) for r in requests) + "\n")
+
+    want = io.StringIO()
+    responses = []
+    for request in requests:
+        response, _ = execute_request(request)
+        responses.append(response)
+        json.dump(response, want, separators=(",", ":"))
+        want.write("\n")
+
+    code, out, err = run(["batch", str(path)])
+    assert code == 0
+    assert out == want.getvalue()
+    # the file covers what it claims to
+    assert all(r["status"] == "ok" for r in responses[:len(OPS)])
+    codes = {r["code"] for r in responses if r["status"] == "error"}
+    assert codes == {c for _, c in ERROR_CASES} | {"non_finite", "bad_request"}
+    assert "Infinity" in out.splitlines()[-2]
+    assert "-0.0" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("params,rows", [
+    ("quarter", "[[0.0,0.0,0.0],[0.0,0.0,0.0],[0.0,0.0,0.0]]"),
+    ("semi", "[[-8.0,0.0,0.0],[0.0,0.0,0.0],[0.0,0.0,0.0]]"),
+])
+def test_killing_matrix_prints_positive_zeros(params, rows):
+    code, out, err = run(["--family", params, "killing-matrix"])
+    assert code == 0
+    assert out == '{"status":"ok","result":{"mat3":' + rows + '}}\n'
+
+
 # --- request executor details ----------------------------------------------------------------
 
 def test_execute_request_rejects_non_object():

@@ -25,7 +25,7 @@ from gq3 import (
     skew_of_axis,
     wedge,
 )
-from gq3.oracle import conjugation_columns
+from gq3.oracle import conjugation_columns, killing_by_trace
 from helpers import (
     FAMILIES,
     POSITIVE_FAMILIES,
@@ -193,7 +193,7 @@ def test_closed_form_scales_conjugation_by_norm(rng, params):
         if abs(n) < 1e-2:
             continue
         a = as_array(adjoint_closed_form(p))
-        c = as_array(adjoint_group(p))
+        c = as_array(conjugation_columns(p))
         assert np.allclose(a, n * c, rtol=0, atol=1e-10 * max(1.0, abs(n) * np.abs(c).max()))
 
 
@@ -277,6 +277,30 @@ def test_killing_is_minus_eight_times_form(rng, params):
         expect = -8.0 * bilinear_f(x, y)
         assert rel_close(killing_form(x, y), expect, 1e-9)
         assert rel_close(killing_form(y, x), killing_form(x, y), 1e-12)
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+def test_killing_matches_trace_definition(rng, params):
+    basis = [GVec3.basis(i, params) for i in (1, 2, 3)]
+    for x in basis:
+        for y in basis:
+            got, want = killing_form(x, y), killing_by_trace(x, y)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    weights = (params.l12, params.l13, params.l23)
+    for _ in range(30):
+        x, y = random_vec(rng, params), random_vec(rng, params)
+        # every term of the trace is bounded by 8*|w_i*x_i*y_i|
+        scale = 8.0 * sum(abs(w * a * b) for w, a, b in zip(weights, x.components, y.components))
+        assert abs(killing_form(x, y) - killing_by_trace(x, y)) <= 1e-14 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+def test_killing_matrix_matches_trace_gram(params):
+    basis = [GVec3.basis(i, params) for i in (1, 2, 3)]
+    gram = np.array([[killing_by_trace(a, b) for b in basis] for a in basis])
+    got = as_array(killing_matrix(params))
+    assert np.array_equal(got, gram)
+    assert np.array_equal(np.signbit(got), np.signbit(gram))  # zeros stay +0.0
 
 
 @pytest.mark.parametrize("params", FAMILIES)

@@ -6,6 +6,7 @@ import pytest
 from gq3 import (
     DegenerateAxis,
     GQuat,
+    Mat3,
     Mat4,
     ParamTriple,
     base_matrices,
@@ -301,6 +302,33 @@ def test_mat4_validates_shape_and_finiteness():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):
         Mat4(bad)
+
+
+@pytest.mark.parametrize("cls,size", [(Mat3, 3), (Mat4, 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_rejects_non_finite_entry_at_every_position(cls, size, bad):
+    for i in range(size):
+        for j in range(size):
+            data = np.eye(size)
+            data[i, j] = bad
+            with pytest.raises(ValueError):
+                cls(data, H)
+            with pytest.raises(ValueError):
+                cls(data.tolist(), H)
+
+
+@pytest.mark.parametrize("cls,size", [(Mat3, 3), (Mat4, 4)])
+def test_matrix_is_read_only_and_keeps_params(cls, size):
+    data = np.arange(size * size, dtype=float).reshape(size, size)
+    m = cls(data, H)
+    assert isinstance(m, cls)
+    assert m.params == H
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    assert m.rows() == data.tolist()
+    data[0, 0] = 99.0  # the input is copied, not frozen or shared
+    assert m[0, 0] == 0.0
 
 
 def test_mat4_keeps_params_through_arithmetic():
