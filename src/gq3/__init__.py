@@ -17,7 +17,6 @@ from .core import (
     ParamTriple,
     bilinear_f,
     family,
-    scalar_product,
     wedge,
     wedge_triple_left,
     wedge_triple_right,
@@ -120,7 +119,6 @@ __all__ = [
     "polar_matrix",
     "power_period",
     "right_matrix",
-    "scalar_product",
     "scaled_power_relation",
     "skew_of_axis",
     "to_polar",

@@ -18,10 +18,14 @@ stdout carries only JSON; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import json
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+# The op table names its library functions as text ("polar.matrix_pow",
+# "wedge"), resolved in this module's namespace: these imports serve it.
 from . import lie, matrices, polar
 from .core import (
     GQuat,
@@ -105,42 +109,41 @@ def _split_operand_params(value: Any, params: ParamTriple) -> tuple[Any, ParamTr
     return value, params
 
 
-def _coerce_quat(value: Any, params: ParamTriple) -> GQuat:
+# Operand kind -> (component count, value type, name used in messages).
+_SHAPES = {"quat": (4, GQuat, "quaternion"), "vec": (3, GVec3, "vector")}
+
+
+def _coerce(kind: str, value: Any, params: ParamTriple):
+    """Turn one operand literal of the given kind into a library value."""
+    if kind == "scalar":
+        return _coerce_scalar(value)
+    size, cls, what = _SHAPES[kind]
     value, params = _split_operand_params(value, params)
     if isinstance(value, str):
-        return GQuat.from_components(_parse_numbers(value, 4, "quaternion"), params)
-    if isinstance(value, (list, tuple)) and len(value) == 4:
+        return cls.from_components(_parse_numbers(value, size, what), params)
+    if isinstance(value, (list, tuple)) and len(value) == size:
         try:
-            return GQuat.from_components([float(v) for v in value], params)
+            return cls.from_components([float(v) for v in value], params)
         except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad quaternion {value!r}: {exc}") from None
-    raise RequestError(f"expected a quaternion (4 components), got {value!r}")
+            raise RequestError(f"bad {what} {value!r}: {exc}") from None
+    raise RequestError(f"expected a {what} ({size} components), got {value!r}")
 
 
-def _coerce_vec(value: Any, params: ParamTriple) -> GVec3:
-    value, params = _split_operand_params(value, params)
-    if isinstance(value, str):
-        return GVec3.from_components(_parse_numbers(value, 3, "vector"), params)
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        try:
-            return GVec3.from_components([float(v) for v in value], params)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad vector {value!r}: {exc}") from None
-    raise RequestError(f"expected a vector (3 components), got {value!r}")
-
-
-def _coerce_scalar(value: Any, params: ParamTriple) -> float:
+def _coerce_scalar(value: Any) -> float:
     if isinstance(value, str):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise RequestError(f"expected a number, got {value!r}") from None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise RequestError(f"expected a number, got {value!r}")
-
-
-_COERCERS = {"quat": _coerce_quat, "vec": _coerce_vec, "scalar": _coerce_scalar}
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+    else:
+        raise RequestError(f"expected a number, got {value!r}")
+    # Rejected here like a non-finite quaternion component, not left to
+    # surface as a domain error of the operation.
+    if not math.isfinite(number):
+        raise RequestError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def _require_int_option(options: dict, key: str) -> int:
@@ -154,248 +157,174 @@ def _require_int_option(options: dict, key: str) -> int:
     return value
 
 
+def _tolerance(options: dict, op_name: str, keyword: str | None) -> dict:
+    """Keyword arguments carrying the request's tolerance, if it gives one.
+
+    Without one the result is empty, so the library default applies.
+    """
+    tol = options.get("tolerance")
+    if tol is None:
+        return {}
+    if keyword is None:
+        raise RequestError(f"operation {op_name!r} takes no tolerance")
+    try:
+        value = float(tol)
+    except (TypeError, ValueError):
+        raise RequestError(f"tolerance must be a number, got {tol!r}") from None
+    # abs(x) > nan is always false, so a NaN tolerance would open every gate.
+    if not math.isfinite(value) or value < 0.0:
+        raise RequestError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return {keyword: value}
+
+
 # --- JSON encoding of results ------------------------------------------------
 
 
-def _quat_json(q: GQuat) -> dict:
-    return {"quat": list(q.components)}
+def _components(x: GQuat | GVec3) -> list[float]:
+    return list(x.components)
 
 
-def _vec_json(v: GVec3) -> dict:
-    return {"vector": list(v.components)}
+def _rows(m) -> list[list[float]]:
+    return m.rows()
 
 
-def _mat_json(kind: str, m) -> dict:
-    return {kind: m.rows()}
+def _as_is(x):
+    return x
 
 
-def _complex_json(z: complex) -> list[float]:
+def _complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _polar_json(form: polar.PolarForm) -> dict:
-    return {"polar": {
+# Result tag -> how the value under that tag is written.
+_ENCODE: dict[str, Callable[[Any], Any]] = {
+    "quat": _components,
+    "vector": _components,
+    "scalar": _as_is,
+    "bool": _as_is,
+    "period": _as_is,
+    "mat3": _rows,
+    "mat4": _rows,
+    "mat4_list": lambda mats: [m.rows() for m in mats],
+    "roots": lambda rs: {"degree": rs.degree, "matrices": [m.rows() for m in rs.roots]},
+    "polar": lambda form: {
         "modulus": form.modulus,
         "theta": form.theta,
         "axis": list(form.axis.components) if form.axis is not None else None,
-    }}
+    },
+    # two conjugate values, each of algebraic multiplicity two
+    "complex_pair": lambda pair: [_complex(e.value) for e in pair],
+    "eigenvectors": lambda pairs: [
+        {"value": _complex(e.value), "vector": [_complex(z) for z in e.vector]}
+        for e in pairs
+    ],
+    "char_poly": lambda cp: {"coefficients": list(cp.coefficients),
+                             "quadratic": list(cp.quadratic)},
+}
 
 
-# --- operation registry -------------------------------------------------------
+# --- operation table -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class OpSpec:
+    """One row of the operation table.
+
+    The library function is attribute ``name`` of ``owner``, a module or
+    class.  It is looked up on every request rather than bound once, so that
+    rebinding the attribute (as a tracer does) reaches the CLI too.  It
+    receives the operands in order (the request's parameter triple when the
+    op has none), then the integer options named in ``ints``.  A request's
+    tolerance is passed as keyword ``tol``; an op without one rejects it.
+    The result is written under ``tag``.
+    """
+
     operands: tuple[str, ...]
-    run: Callable[[ParamTriple, list, dict], dict]
     summary: str
+    owner: Any
+    name: str
+    tag: str
+    ints: tuple[str, ...]
+    tol: str | None
+    root_degree: bool  # option n is a root degree and must be at least one
 
 
-def _tols(options: dict) -> dict:
-    tol = options.get("tolerance")
-    if tol is None:
-        return {}
-    try:
-        return {"tol": float(tol)}
-    except (TypeError, ValueError):
-        raise RequestError(f"tolerance must be a number, got {tol!r}") from None
+def _op(operands: str, call: str, tag: str, summary: str, *, ints: str = "",
+        tol: str | None = None, root_degree: bool = False) -> OpSpec:
+    # ``call`` is "owner.name" or a bare name, both in this module's namespace.
+    owner, _, name = call.rpartition(".")
+    return OpSpec(tuple(operands.split()), summary,
+                  globals()[owner] if owner else sys.modules[__name__], name, tag,
+                  tuple(ints.split()), tol, root_degree)
 
 
-def _build_ops() -> dict[str, OpSpec]:
-    ops: dict[str, OpSpec] = {}
-
-    def op(name: str, operands: tuple[str, ...], summary: str):
-        def register(fn):
-            ops[name] = OpSpec(operands, fn, summary)
-            return fn
-        return register
-
-    @op("add", ("quat", "quat"), "componentwise sum")
-    def _add(params, args, options):
-        return _quat_json(args[0] + args[1])
-
-    @op("sub", ("quat", "quat"), "componentwise difference")
-    def _sub(params, args, options):
-        return _quat_json(args[0] - args[1])
-
-    @op("scale", ("scalar", "quat"), "scalar multiple")
-    def _scale(params, args, options):
-        return _quat_json(args[1].scale(args[0]))
-
-    @op("mul", ("quat", "quat"), "algebra product")
-    def _mul(params, args, options):
-        return _quat_json(args[0] * args[1])
-
-    @op("conj", ("quat",), "conjugate")
-    def _conj(params, args, options):
-        return _quat_json(args[0].conj())
-
-    @op("norm", ("quat",), "indefinite norm")
-    def _norm(params, args, options):
-        return {"scalar": args[0].norm()}
-
-    @op("inverse", ("quat",), "multiplicative inverse")
-    def _inverse(params, args, options):
-        return _quat_json(args[0].inverse())
-
-    @op("dot", ("quat", "quat"), "scalar product")
-    def _dot(params, args, options):
-        return {"scalar": args[0].dot(args[1])}
-
-    @op("bilinear", ("vec", "vec"), "bilinear form on vectors")
-    def _bilinear(params, args, options):
-        return {"scalar": bilinear_f(args[0], args[1])}
-
-    @op("wedge", ("vec", "vec"), "weighted cross product")
-    def _wedge(params, args, options):
-        return _vec_json(wedge(args[0], args[1]))
-
-    @op("wedge-triple-left", ("vec", "vec", "vec"), "p ^ (q ^ r)")
-    def _wtl(params, args, options):
-        return _vec_json(wedge_triple_left(*args))
-
-    @op("wedge-triple-right", ("vec", "vec", "vec"), "(p ^ q) ^ r")
-    def _wtr(params, args, options):
-        return _vec_json(wedge_triple_right(*args))
-
-    @op("left-matrix", ("quat",), "left-multiplication matrix")
-    def _left(params, args, options):
-        return _mat_json("mat4", matrices.left_matrix(args[0]))
-
-    @op("right-matrix", ("quat",), "right-multiplication matrix")
-    def _right(params, args, options):
-        return _mat_json("mat4", matrices.right_matrix(args[0]))
-
-    @op("base-matrices", (), "matrices of the basis elements")
-    def _base(params, args, options):
-        mats = matrices.base_matrices(params)
-        return {"mat4_list": [m.rows() for m in mats]}
-
-    @op("det", ("quat",), "determinant of the left matrix")
-    def _det(params, args, options):
-        return {"scalar": matrices.det4(matrices.left_matrix(args[0]))}
-
-    @op("char-poly", ("quat",), "characteristic polynomial")
-    def _charpoly(params, args, options):
-        cp = matrices.char_poly(args[0])
-        return {"char_poly": {"coefficients": list(cp.coefficients),
-                              "quadratic": list(cp.quadratic)}}
-
-    @op("eigenvalues", ("quat",), "eigenvalues of the left matrix")
-    def _eigvals(params, args, options):
-        # two conjugate values, each of algebraic multiplicity two
-        pair = matrices.eigenvalues(args[0])
-        return {"complex_pair": [_complex_json(e.value) for e in pair]}
-
-    @op("eigenvectors", ("quat",), "closed-form eigenvectors")
-    def _eigvecs(params, args, options):
-        pairs = matrices.eigenvectors(args[0])
-        return {"eigenvectors": [
-            {"value": _complex_json(e.value),
-             "vector": [_complex_json(z) for z in e.vector]}
-            for e in pairs
-        ]}
-
-    @op("polar", ("quat",), "polar decomposition")
-    def _polar(params, args, options):
-        return _polar_json(polar.to_polar(args[0]))
-
-    @op("pow", ("quat",), "integer power by the angle map (needs --n)")
-    def _pow(params, args, options):
-        n = _require_int_option(options, "n")
-        return _quat_json(polar.demoivre_pow(args[0], n))
-
-    @op("matrix-pow", ("quat",), "matrix power for unit input (needs --n)")
-    def _mpow(params, args, options):
-        n = _require_int_option(options, "n")
-        kw = _tols(options)
-        if kw:
-            return _mat_json("mat4", polar.matrix_pow(args[0], n, unit_tol=kw["tol"]))
-        return _mat_json("mat4", polar.matrix_pow(args[0], n))
-
-    @op("exp", ("vec", "scalar"), "exponential of a unit direction and angle")
-    def _exp(params, args, options):
-        kw = _tols(options)
-        if kw:
-            return _quat_json(polar.euler_exp(args[0], args[1], axis_tol=kw["tol"]))
-        return _quat_json(polar.euler_exp(args[0], args[1]))
-
-    @op("exp-matrix", ("vec", "scalar"), "matrix exponential form")
-    def _expm(params, args, options):
-        kw = _tols(options)
-        if kw:
-            return _mat_json("mat4", polar.euler_exp_matrix(args[0], args[1], axis_tol=kw["tol"]))
-        return _mat_json("mat4", polar.euler_exp_matrix(args[0], args[1]))
-
-    @op("roots", ("quat",), "all nth matrix roots for unit input (needs --n)")
-    def _roots(params, args, options):
-        n = _require_int_option(options, "n")
-        if n < 1:
-            raise RequestError(f"root degree must be >= 1, got {n}")
-        kw = _tols(options)
-        rs = (polar.matrix_roots(args[0], n, unit_tol=kw["tol"]) if kw
-              else polar.matrix_roots(args[0], n))
-        return {"roots": {"degree": rs.degree, "matrices": [m.rows() for m in rs.roots]}}
-
-    @op("period", ("quat",), "power period of a unit elliptic quaternion")
-    def _period(params, args, options):
-        kw = _tols(options)
-        m = (polar.power_period(args[0], unit_tol=kw["tol"]) if kw
-             else polar.power_period(args[0]))
-        return {"period": m}
-
-    @op("scaled-pow", ("quat",), "reduce p^n to modulus^(n-s) p^s (needs --n, --s)")
-    def _spow(params, args, options):
-        n = _require_int_option(options, "n")
-        s = _require_int_option(options, "s")
-        return _quat_json(polar.scaled_power_relation(args[0], n, s))
-
-    @op("bracket", ("vec", "vec"), "Lie bracket")
-    def _bracket(params, args, options):
-        return _vec_json(lie.bracket(args[0], args[1]))
-
-    @op("adjoint", ("quat",), "conjugation action on vectors")
-    def _adjoint(params, args, options):
-        return _mat_json("mat3", lie.adjoint_group(args[0]))
-
-    @op("skew", ("vec",), "weighted skew matrix")
-    def _skew(params, args, options):
-        return _mat_json("mat3", lie.skew_of_axis(args[0]))
-
-    @op("rodrigues", ("vec", "scalar"), "adjoint from axis and angle")
-    def _rodrigues(params, args, options):
-        kw = _tols(options)
-        if kw:
-            return _mat_json("mat3", lie.adjoint_rodrigues(args[0], args[1], axis_tol=kw["tol"]))
-        return _mat_json("mat3", lie.adjoint_rodrigues(args[0], args[1]))
-
-    @op("ad", ("vec",), "bracket action matrix")
-    def _ad(params, args, options):
-        return _mat_json("mat3", lie.ad_matrix(args[0]))
-
-    @op("killing", ("vec", "vec"), "Killing form value")
-    def _killing(params, args, options):
-        return {"scalar": lie.killing_form(args[0], args[1])}
-
-    @op("killing-matrix", (), "Killing form over the vector basis")
-    def _killmat(params, args, options):
-        return _mat_json("mat3", lie.killing_matrix(params))
-
-    @op("epsilon", (), "diagonal metric on vectors")
-    def _epsilon(params, args, options):
-        return _mat_json("mat3", lie.metric_eps(params))
-
-    @op("compact", (), "is the unit group compact")
-    def _compact(params, args, options):
-        return {"bool": lie.is_compact(params)}
-
-    return ops
+def _scale(c: float, q: GQuat) -> GQuat:
+    return q.scale(c)
 
 
-OPS = _build_ops()
+def _det(q: GQuat) -> float:
+    return matrices.det4(matrices.left_matrix(q))
+
+
+OPS: dict[str, OpSpec] = {
+    "add": _op("quat quat", "operator.add", "quat", "componentwise sum"),
+    "sub": _op("quat quat", "operator.sub", "quat", "componentwise difference"),
+    "scale": _op("scalar quat", "_scale", "quat", "scalar multiple"),
+    "mul": _op("quat quat", "operator.mul", "quat", "algebra product"),
+    "conj": _op("quat", "GQuat.conj", "quat", "conjugate"),
+    "norm": _op("quat", "GQuat.norm", "scalar", "indefinite norm"),
+    "inverse": _op("quat", "GQuat.inverse", "quat", "multiplicative inverse"),
+    "dot": _op("quat quat", "GQuat.dot", "scalar", "scalar product"),
+    "bilinear": _op("vec vec", "bilinear_f", "scalar", "bilinear form on vectors"),
+    "wedge": _op("vec vec", "wedge", "vector", "weighted cross product"),
+    "wedge-triple-left": _op("vec vec vec", "wedge_triple_left", "vector", "p ^ (q ^ r)"),
+    "wedge-triple-right": _op("vec vec vec", "wedge_triple_right", "vector", "(p ^ q) ^ r"),
+    "left-matrix": _op("quat", "matrices.left_matrix", "mat4", "left-multiplication matrix"),
+    "right-matrix": _op("quat", "matrices.right_matrix", "mat4",
+                        "right-multiplication matrix"),
+    "base-matrices": _op("", "matrices.base_matrices", "mat4_list",
+                         "matrices of the basis elements"),
+    "det": _op("quat", "_det", "scalar", "determinant of the left matrix"),
+    "char-poly": _op("quat", "matrices.char_poly", "char_poly", "characteristic polynomial"),
+    "eigenvalues": _op("quat", "matrices.eigenvalues", "complex_pair",
+                       "eigenvalues of the left matrix"),
+    "eigenvectors": _op("quat", "matrices.eigenvectors", "eigenvectors",
+                        "closed-form eigenvectors"),
+    "polar": _op("quat", "polar.to_polar", "polar", "polar decomposition"),
+    "pow": _op("quat", "polar.demoivre_pow", "quat",
+               "integer power by the angle map (needs --n)", ints="n"),
+    "matrix-pow": _op("quat", "polar.matrix_pow", "mat4",
+                      "matrix power for unit input (needs --n)", ints="n", tol="unit_tol"),
+    "exp": _op("vec scalar", "polar.euler_exp", "quat",
+               "exponential of a unit direction and angle", tol="axis_tol"),
+    "exp-matrix": _op("vec scalar", "polar.euler_exp_matrix", "mat4",
+                      "matrix exponential form", tol="axis_tol"),
+    "roots": _op("quat", "polar.matrix_roots", "roots",
+                 "all nth matrix roots for unit input (needs --n)",
+                 ints="n", tol="unit_tol", root_degree=True),
+    "period": _op("quat", "polar.power_period", "period",
+                  "power period of a unit elliptic quaternion", tol="unit_tol"),
+    "scaled-pow": _op("quat", "polar.scaled_power_relation", "quat",
+                      "reduce p^n to modulus^(n-s) p^s (needs --n, --s)", ints="n s"),
+    "bracket": _op("vec vec", "lie.bracket", "vector", "Lie bracket"),
+    "adjoint": _op("quat", "lie.adjoint_group", "mat3", "conjugation action on vectors"),
+    "skew": _op("vec", "lie.skew_of_axis", "mat3", "weighted skew matrix"),
+    "rodrigues": _op("vec scalar", "lie.adjoint_rodrigues", "mat3",
+                     "adjoint from axis and angle", tol="axis_tol"),
+    "ad": _op("vec", "lie.ad_matrix", "mat3", "bracket action matrix"),
+    "killing": _op("vec vec", "lie.killing_form", "scalar", "Killing form value"),
+    "killing-matrix": _op("", "lie.killing_matrix", "mat3",
+                          "Killing form over the vector basis"),
+    "epsilon": _op("", "lie.metric_eps", "mat3", "diagonal metric on vectors"),
+    "compact": _op("", "lie.is_compact", "bool", "is the unit group compact"),
+}
 
 
 # --- request execution --------------------------------------------------------
+
+
+def _error(code: str, message: Exception | str) -> dict:
+    return {"status": "error", "code": code, "message": str(message)}
 
 
 def execute_request(request: dict) -> tuple[dict, int]:
@@ -423,24 +352,28 @@ def execute_request(request: dict) -> tuple[dict, int]:
             options = {}
         if not isinstance(options, dict):
             raise RequestError("options must be an object")
-        operands = [
-            _COERCERS[kind](value, params)
-            for kind, value in zip(op.operands, raw_operands)
-        ]
-    except (RequestError, ValueError, TypeError) as exc:
+        # An op without operands acts on the parameter triple itself.
+        args = ([_coerce(kind, value, params) for kind, value in zip(op.operands, raw_operands)]
+                if op.operands else [params])
+        for key in op.ints:
+            args.append(_require_int_option(options, key))
+        if op.root_degree and args[-1] < 1:
+            raise RequestError(f"root degree must be >= 1, got {args[-1]}")
+        kwargs = _tolerance(options, op_name, op.tol)
+    except (RequestError, ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")
-        return {"status": "error", "code": "bad_request", "message": str(exc)}, EXIT_USAGE
+        # and integers too large for a float
+        return _error("bad_request", exc), EXIT_USAGE
 
     try:
-        result = op.run(params, operands, options)
-    except RequestError as exc:
-        return {"status": "error", "code": "bad_request", "message": str(exc)}, EXIT_USAGE
+        value = getattr(op.owner, op.name)(*args, **kwargs)
+        result = {op.tag: _ENCODE[op.tag](value)}
     except AlgebraError as exc:
-        return {"status": "error", "code": exc.code, "message": str(exc)}, EXIT_DOMAIN_ERROR
+        return _error(exc.code, exc), EXIT_DOMAIN_ERROR
     except (ValueError, OverflowError) as exc:
         # finite operands whose result left double range (construction rejects
         # non-finite components); report instead of crashing
-        return {"status": "error", "code": "non_finite", "message": str(exc)}, EXIT_DOMAIN_ERROR
+        return _error("non_finite", exc), EXIT_DOMAIN_ERROR
     return {"status": "ok", "result": result}, EXIT_OK
 
 
@@ -464,9 +397,9 @@ def _run_batch(path: str, out, err) -> int:
                 continue
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _emit({"status": "error", "code": "bad_request",
-                       "message": f"invalid JSON: {exc}"}, out)
+            except ValueError as exc:
+                # JSONDecodeError, or an integer literal too long to convert
+                _emit(_error("bad_request", f"invalid JSON: {exc}"), out)
                 continue
             response, _ = execute_request(request)
             _emit(response, out)
@@ -497,9 +430,7 @@ def _parse_argv(argv: Sequence[str]) -> dict:
     """
     flags = {"--params": "params", "--family": "family", "--n": "n",
              "--s": "s", "--tol": "tolerance"}
-    parsed: dict[str, Any] = {"params": None, "family": None, "n": None,
-                              "s": None, "tolerance": None,
-                              "op": None, "operands": []}
+    parsed: dict[str, Any] = {**dict.fromkeys(flags.values()), "op": None, "operands": []}
     i = 0
     while i < len(argv):
         token = argv[i]
@@ -521,6 +452,15 @@ def _parse_argv(argv: Sequence[str]) -> dict:
             parsed["operands"].append(token)
         i += 1
     return parsed
+
+
+def _int_literal(text: str | None) -> int | str | None:
+    # An integer literal becomes an int; anything else is passed on unchanged,
+    # to be rejected, or ignored by an op that takes no such option.
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return text
 
 
 def main(argv: Sequence[str] | None = None, *, stdout=None, stderr=None) -> int:
@@ -561,21 +501,10 @@ def main(argv: Sequence[str] | None = None, *, stdout=None, stderr=None) -> int:
         print("gq3: --params and --family are mutually exclusive", file=err)
         return EXIT_USAGE
 
-    options: dict[str, Any] = {}
-    for key in ("n", "s"):
-        if ns[key] is not None:
-            try:
-                options[key] = int(ns[key])
-            except ValueError:
-                print(f"gq3: --{key} must be an integer, got {ns[key]!r}", file=err)
-                return EXIT_USAGE
-    if ns["tolerance"] is not None:
-        try:
-            options["tolerance"] = float(ns["tolerance"])
-        except ValueError:
-            print(f"gq3: --tol must be a number, got {ns['tolerance']!r}", file=err)
-            return EXIT_USAGE
-
+    # Checked by execute_request as a batch line's options are; None stands
+    # for an absent flag there too, and --tol stays text for float() to read.
+    options = {"n": _int_literal(ns["n"]), "s": _int_literal(ns["s"]),
+               "tolerance": ns["tolerance"]}
     request = {
         "params": ns["params"] if ns["params"] else ns["family"],
         "op": ns["op"],

@@ -33,7 +33,6 @@ __all__ = [
     "family",
     "bilinear_f",
     "wedge",
-    "scalar_product",
     "wedge_triple_left",
     "wedge_triple_right",
 ]
@@ -414,20 +413,11 @@ def wedge(u: GVec3, v: GVec3) -> GVec3:
     )
 
 
-def scalar_product(p: GQuat, q: GQuat) -> float:
-    """Scalar product of two full quaternions; see :meth:`GQuat.dot`."""
-    return p.dot(q)
-
-
 def wedge_triple_left(p: GVec3, q: GVec3, r: GVec3) -> GVec3:
     """Evaluate p ^ (q ^ r), which expands to f(p,r)*q - f(p,q)*r."""
-    _require_same_params(p.params, q.params)
-    _require_same_params(p.params, r.params)
     return wedge(p, wedge(q, r))
 
 
 def wedge_triple_right(p: GVec3, q: GVec3, r: GVec3) -> GVec3:
     """Evaluate (p ^ q) ^ r, which expands to f(p,r)*q - f(q,r)*p."""
-    _require_same_params(p.params, q.params)
-    _require_same_params(p.params, r.params)
     return wedge(wedge(p, q), r)

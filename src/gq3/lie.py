@@ -20,10 +20,10 @@ import math
 
 import numpy as np
 
-from .core import GQuat, GVec3, ParamTriple, bilinear_f, _require_same_params
-from .errors import NotPositiveFamily, NotUnitVector
+from .core import GQuat, GVec3, ParamTriple, bilinear_f, wedge
+from .errors import NotPositiveFamily
 from .matrices import Mat3
-from .polar import UNIT_AXIS_TOL
+from .polar import UNIT_AXIS_TOL, _require_unit_axis
 
 __all__ = [
     "metric_eps",
@@ -56,16 +56,10 @@ def bracket(x: GVec3, y: GVec3) -> GVec3:
     """Lie bracket [x, y], the bilinear extension of the basis relations.
 
     Coincides with the commutator x*y - y*x of the embedded pure quaternions
-    (whose scalar parts cancel by symmetry of the bilinear form).
+    (whose scalar parts cancel by symmetry of the bilinear form), which is
+    twice the weighted cross product.
     """
-    _require_same_params(x.params, y.params)
-    l1, l2, l3 = x.params.as_tuple()
-    return GVec3(
-        2.0 * l3 * (x.a2 * y.a3 - x.a3 * y.a2),
-        2.0 * l2 * (x.a3 * y.a1 - x.a1 * y.a3),
-        2.0 * l1 * (x.a1 * y.a2 - x.a2 * y.a1),
-        x.params,
-    )
+    return wedge(x, y).scale(2.0)
 
 
 def adjoint_group(p: GQuat) -> Mat3:
@@ -118,13 +112,17 @@ def skew_of_axis(s: GVec3) -> Mat3:
     the generator appearing in the rotation-style decomposition of the
     adjoint action.
     """
-    l1, l2, l3 = s.params.as_tuple()
-    s1, s2, s3 = s.components
-    return Mat3([
+    return Mat3(_skew_rows(s.params, *s.components), s.params)
+
+
+def _skew_rows(params: ParamTriple, s1: float, s2: float, s3: float) -> list[list[float]]:
+    # Rows of the weighted skew matrix of (s1, s2, s3), shared with ad_matrix.
+    l1, l2, l3 = params.as_tuple()
+    return [
         [0.0, -l3 * s3, l3 * s2],
         [l2 * s3, 0.0, -l2 * s1],
         [-l1 * s2, l1 * s1, 0.0],
-    ], s.params)
+    ]
 
 
 def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat3:
@@ -137,9 +135,7 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
     if not axis.params.is_positive:
         raise NotPositiveFamily(
             f"rotation decomposition needs all lambdas > 0, got {axis.params.as_tuple()}")
-    ff = bilinear_f(axis, axis)
-    if abs(ff - 1.0) > axis_tol:
-        raise NotUnitVector(f"f(axis, axis) = {ff} != 1")
+    _require_unit_axis(axis, axis_tol, "axis")
     s = skew_of_axis(axis)
     sa = np.asarray(s, dtype=float)
     out = np.eye(3) + math.sin(theta) * sa + (1.0 - math.cos(theta)) * (sa @ sa)
@@ -147,14 +143,12 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
 
 
 def ad_matrix(x: GVec3) -> Mat3:
-    """Matrix of y -> [x, y] on vector coordinates (twice the weighted skew)."""
-    l1, l2, l3 = x.params.as_tuple()
-    x1, x2, x3 = x.components
-    return Mat3([
-        [0.0, -2.0 * l3 * x3, 2.0 * l3 * x2],
-        [2.0 * l2 * x3, 0.0, -2.0 * l2 * x1],
-        [-2.0 * l1 * x2, 2.0 * l1 * x1, 0.0],
-    ], x.params)
+    """Matrix of y -> [x, y] on vector coordinates (twice the weighted skew).
+
+    Built as the skew of the doubled vector: doubling is exact, so the
+    entries equal 2 * skew_of_axis(x) bit for bit.
+    """
+    return Mat3(_skew_rows(x.params, 2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3), x.params)
 
 
 def _killing_of_form(f: float) -> float:

@@ -85,14 +85,20 @@ def left_matrix(p: GQuat) -> Mat4:
     Additive and multiplicative in p: the map p -> left_matrix(p) is an
     injective ring homomorphism into the 4x4 real matrices.
     """
-    l1, l2, l3 = p.params.as_tuple()
-    a0, a1, a2, a3 = p.components
-    return Mat4([
+    return Mat4(_left_rows(p.params, *p.components), p.params)
+
+
+def _left_rows(params: ParamTriple, a0: float, a1: float, a2: float,
+               a3: float) -> list[list[float]]:
+    # Rows of the left-multiplication matrix of a0 + a1*e1 + a2*e2 + a3*e3,
+    # shared with polar.polar_matrix, which passes (cos t, sin t * axis).
+    l1, l2, l3 = params.as_tuple()
+    return [
         [a0, -l1 * l2 * a1, -l1 * l3 * a2, -l2 * l3 * a3],
         [a1, a0, -l3 * a3, l3 * a2],
         [a2, l2 * a3, a0, -l2 * a1],
         [a3, -l1 * a2, l1 * a1, a0],
-    ], p.params)
+    ]
 
 
 def right_matrix(p: GQuat) -> Mat4:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import GQuat, GVec3, ParamTriple, bilinear_f
 from .errors import NonElliptic, NonUnit, NotUnitVector, ZeroNorm, NoPeriod, CongruenceViolation
-from .matrices import Mat4, _axis_discriminant
+from .matrices import Mat4, _axis_discriminant, _left_rows
 
 __all__ = [
     "PolarForm",
@@ -128,16 +128,9 @@ def polar_matrix(axis: GVec3, theta: float) -> Mat4:
     Written directly in terms of the angle so that substituting n*theta gives
     the nth power and (theta + 2*pi*k)/n gives the nth roots.
     """
-    l1, l2, l3 = axis.params.as_tuple()
-    p1, p2, p3 = axis.components
-    c = math.cos(theta)
     s = math.sin(theta)
-    return Mat4([
-        [c, -l1 * l2 * p1 * s, -l1 * l3 * p2 * s, -l2 * l3 * p3 * s],
-        [p1 * s, c, -l3 * p3 * s, l3 * p2 * s],
-        [p2 * s, l2 * p3 * s, c, -l2 * p1 * s],
-        [p3 * s, -l1 * p2 * s, l1 * p1 * s, c],
-    ], axis.params)
+    rows = _left_rows(axis.params, math.cos(theta), s * axis.a1, s * axis.a2, s * axis.a3)
+    return Mat4(rows, axis.params)
 
 
 def _require_int(n) -> None:
@@ -153,6 +146,26 @@ def _unit_polar(p: GQuat, unit_tol: float) -> PolarForm:
     if form.axis is None:
         raise NonElliptic("pure scalar has no polar axis")
     return form
+
+
+def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
+    # The unit-axis gate, |f(v, v) - 1| <= axis_tol, of every operation that
+    # needs a unit direction; ``name`` labels the vector in the message.
+    ff = bilinear_f(v, v)
+    if abs(ff - 1.0) > axis_tol:
+        raise NotUnitVector(f"f({name}, {name}) = {ff} != 1")
+
+
+def _period(theta: float, period_rel_tol: float) -> int:
+    """The integer m >= 2 equal to 2*pi/theta within relative tolerance.
+
+    Raises NoPeriod when there is none.
+    """
+    ratio = 2.0 * math.pi / theta
+    m = round(ratio)
+    if not (m >= 2 and abs(ratio - m) < period_rel_tol * ratio):
+        raise NoPeriod(f"2*pi/theta = {ratio} is not an integer >= 2")
+    return m
 
 
 def matrix_pow(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> Mat4:
@@ -173,8 +186,7 @@ def euler_exp(v: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> GQu
     ``v`` must satisfy f(v, v) = 1; such a vector squares to -1 in the
     algebra, making the exponential series collapse to cosine and sine.
     """
-    if abs(bilinear_f(v, v) - 1.0) > axis_tol:
-        raise NotUnitVector(f"f(v, v) = {bilinear_f(v, v)} != 1")
+    _require_unit_axis(v, axis_tol, "v")
     c = math.cos(theta)
     s = math.sin(theta)
     return GQuat(c, s * v.a1, s * v.a2, s * v.a3, v.params)
@@ -186,8 +198,7 @@ def euler_exp_matrix(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_T
     P is the left-multiplication matrix of the unit pure direction; it
     satisfies P @ P = -I, so the matrix series also collapses.
     """
-    if abs(bilinear_f(axis, axis) - 1.0) > axis_tol:
-        raise NotUnitVector(f"f(axis, axis) = {bilinear_f(axis, axis)} != 1")
+    _require_unit_axis(axis, axis_tol, "axis")
     return polar_matrix(axis, theta)
 
 
@@ -216,15 +227,13 @@ def power_period(p: GQuat, *, unit_tol: float = UNIT_NORM_TOL,
     tolerance because theta comes out of atan2.  Returns None otherwise.
     """
     form = _unit_polar(p, unit_tol)
-    ratio = 2.0 * math.pi / form.theta
-    m = round(ratio)
-    if m >= 2 and abs(ratio - m) < period_rel_tol * ratio:
-        return m
-    return None
+    try:
+        return _period(form.theta, period_rel_tol)
+    except NoPeriod:
+        return None
 
 
 def scaled_power_relation(p: GQuat, n: int, s: int, *,
-                          unit_tol: float = UNIT_NORM_TOL,
                           period_rel_tol: float = PERIOD_REL_TOL) -> GQuat:
     """Reduce p^n to modulus^(n-s) * p^s using the period of the unit part.
 
@@ -237,10 +246,7 @@ def scaled_power_relation(p: GQuat, n: int, s: int, *,
     form = to_polar(p)
     if form.axis is None:
         raise NonElliptic("pure scalar has no polar axis")
-    ratio = 2.0 * math.pi / form.theta
-    m = round(ratio)
-    if not (m >= 2 and abs(ratio - m) < period_rel_tol * ratio):
-        raise NoPeriod(f"2*pi/theta = {ratio} is not an integer >= 2")
+    m = _period(form.theta, period_rel_tol)
     if (n - s) % m != 0:
         raise CongruenceViolation(f"{n} != {s} (mod {m})")
     return demoivre_pow(p, s).scale(form.modulus ** (n - s))

@@ -62,15 +62,43 @@ def test_scale_and_option_ops():
     assert body["result"]["quat"] == [2.5, 0.0, 0.0, 5.0]
 
 
+# Every op with a gate that --tol relaxes, with an operand whose norm or
+# f(v, v) misses one by 1e-8 or 2e-8, just outside the default gate.
+FUZZY_QUAT = "-0.50000001,0.5,0.5,0.5"
+FUZZY_AXIS = "1.00000001,0,0"
+TOLERANCE_CASES = {
+    "matrix-pow": [FUZZY_QUAT, "--n", "2"],
+    "roots": [FUZZY_QUAT, "--n", "2"],
+    "period": [FUZZY_QUAT],
+    "exp": [FUZZY_AXIS, "0.5"],
+    "exp-matrix": [FUZZY_AXIS, "0.5"],
+    "rodrigues": [FUZZY_AXIS, "0.5"],
+}
+
+
+def test_tolerance_cases_cover_every_op_that_takes_one():
+    assert {name for name, spec in OPS.items() if spec.tol} == set(TOLERANCE_CASES)
+
+
 def test_tolerance_override_flows_through():
-    fuzzy = "-0.50000001,0.5,0.5,0.5"
-    code, out, err = run(["--params", "1,1,1", "matrix-pow", fuzzy, "--n", "2"])
+    code, out, err = run(["--params", "1,1,1", "matrix-pow", FUZZY_QUAT, "--n", "2"])
     assert code == 1
     assert json.loads(out)["code"] == "non_unit"
-    code, body = run_json(["--params", "1,1,1", "matrix-pow", fuzzy, "--n", "2",
+    code, body = run_json(["--params", "1,1,1", "matrix-pow", FUZZY_QUAT, "--n", "2",
                            "--tol", "1e-6"])
     assert code == 0
     assert "mat4" in body["result"]
+
+
+@pytest.mark.parametrize("op", sorted(TOLERANCE_CASES))
+def test_tolerance_override_flows_through_every_op(op):
+    argv = ["--params", "1,1,1", op, *TOLERANCE_CASES[op]]
+    code, out, err = run(argv)
+    assert code == 1
+    assert json.loads(out)["code"] in ("non_unit", "not_unit_vector")
+    code, body = run_json(argv + ["--tol", "1e-6"])
+    assert code == 0
+    assert body["status"] == "ok"
 
 
 # --- every result kind round-trips ------------------------------------------------
@@ -183,6 +211,17 @@ def test_every_library_error_code_is_cli_reachable():
     ["--params", "1,1,1", "pow", "1,0,0,0", "--n", "two"],  # non-integer n
     ["--params", "1,1,1", "pow", "-0.5,0.5,0.5,0.5"],       # missing required n
     ["--params", "1,1,1", "roots", "-0.5,0.5,0.5,0.5", "--n", "0"],  # degree < 1
+    ["--params", "1,1,1", "exp", "1,0,0", "nan"],           # non-finite scalars
+    ["--params", "1,1,1", "scale", "nan", "1,0,0,0"],
+    ["--params", "1,1,1", "rodrigues", "1,0,0", "inf"],
+    ["--params", "1,1,1", "exp", "1,0,0", "-inf"],
+    ["--params", "1,1,1", "matrix-pow", "2,0,0,1", "--n", "2", "--tol", "nan"],  # bad --tol
+    ["--params", "1,1,1", "exp", "2,0,0", "0.5", "--tol", "inf"],
+    ["--params", "1,1,1", "period", "-0.5,0.5,0.5,0.5", "--tol", "-1"],
+    ["--params", "1,1,1", "roots", "-0.5,0.5,0.5,0.5", "--n", "2", "--tol", "x"],
+    ["--params", "1,1,1", "add", "1,0,0,0", "0,1,0,0", "--tol", "1e-6"],  # op has no gate
+    ["--params", "1,1,1", "scaled-pow", "-0.5,0.5,0.5,0.5", "--n", "4", "--s", "1",
+     "--tol", "1e-6"],
     ["--unknown-flag"],
 ])
 def test_malformed_input_exits_two_without_stdout(argv):
@@ -359,6 +398,39 @@ def test_execute_request_rejects_non_object():
 def test_execute_request_missing_params():
     response, code = execute_request({"op": "norm", "operands": [[1, 0, 0, 0]]})
     assert code == 2
+
+
+@pytest.mark.parametrize("request_", [
+    {"op": "exp", "operands": [[1, 0, 0], math.nan]},         # what a batch NaN decodes to
+    {"op": "exp-matrix", "operands": [[1, 0, 0], -math.inf]},
+    {"op": "norm", "operands": [[10 ** 400, 0, 0, 0]]},        # no float holds these
+    {"op": "exp", "operands": [[1, 0, 0], 10 ** 400]},
+    {"op": "exp", "operands": [[1, 0, 0], 0.5], "options": {"tolerance": math.nan}},
+    {"op": "roots", "operands": [[0.6, 0.8, 0, 0]], "options": {"n": 2, "tolerance": -1e-9}},
+    {"op": "norm", "operands": [[1, 0, 0, 0]], "options": {"tolerance": 1e-6}},
+])
+def test_execute_request_rejects_bad_numbers(request_):
+    response, code = execute_request({"params": [1, 1, 1], **request_})
+    assert code == 2
+    assert response["code"] == "bad_request"
+
+
+def test_execute_request_ignores_unused_integer_options():
+    # n and s only matter to ops that take them, in single-shot and batch mode.
+    request = {"params": "hamilton", "op": "period", "operands": [[-0.5, 0.5, 0.5, 0.5]],
+               "options": {"n": 4, "s": "x"}}
+    assert execute_request(request) == ({"status": "ok", "result": {"period": 3}}, 0)
+
+
+def test_batch_survives_an_integer_too_long_to_read(tmp_path):
+    path = tmp_path / "long.ndjson"
+    line = '{"params": "hamilton", "op": "norm", "operands": [[%s, 0, 0, 0]]}\n'
+    path.write_text(line % ("1" + "0" * 5000) + line % "2")
+    code, out, err = run(["batch", str(path)])
+    assert code == 0
+    first, second = (json.loads(line) for line in out.splitlines())
+    assert first["code"] == "bad_request"
+    assert second["result"] == {"scalar": 4.0}
 
 
 def test_registry_is_well_formed():

@@ -73,6 +73,17 @@ def test_jacobi_identity(rng, params):
         assert vec_close(total, zero, 1e-9, scale=scale)
 
 
+@pytest.mark.parametrize("params", FAMILIES)
+def test_bracket_and_ad_are_twice_wedge_and_skew_bitwise(rng, params):
+    def bits(values):
+        return np.asarray(values, dtype=float).tobytes()  # tells -0.0 from 0.0
+
+    for _ in range(50):
+        x, y = random_vec(rng, params), random_vec(rng, params)
+        assert bits(bracket(x, y).components) == bits([2.0 * c for c in wedge(x, y).components])
+        assert bits(ad_matrix(x)) == bits(2.0 * as_array(skew_of_axis(x)))
+
+
 # --- ad matrices ------------------------------------------------------------------
 
 def test_ad_matrix_of_e1():
