@@ -65,8 +65,6 @@ def _parse_numbers(text: str, count: int, what: str) -> list[float]:
 
 def parse_params(value: Any) -> ParamTriple:
     """Accept [l1, l2, l3], "l1,l2,l3", a family name, or "2param:l,m"."""
-    if isinstance(value, ParamTriple):
-        return value
     if isinstance(value, (list, tuple)):
         if len(value) != 3:
             raise RequestError(f"params list needs 3 entries, got {value!r}")
@@ -167,13 +165,10 @@ def _tolerance(options: dict, op_name: str, keyword: str | None) -> dict:
         return {}
     if keyword is None:
         raise RequestError(f"operation {op_name!r} takes no tolerance")
-    try:
-        value = float(tol)
-    except (TypeError, ValueError):
-        raise RequestError(f"tolerance must be a number, got {tol!r}") from None
-    # abs(x) > nan is always false, so a NaN tolerance would open every gate.
-    if not math.isfinite(value) or value < 0.0:
-        raise RequestError(f"tolerance must be finite and >= 0, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise RequestError(f"tolerance must be a number, got {tol!r}")
+    value = float(tol)
+    polar._check_tolerance(value, "tolerance")  # its ValueError is a bad_request
     return {keyword: value}
 
 
@@ -182,10 +177,6 @@ def _tolerance(options: dict, op_name: str, keyword: str | None) -> dict:
 
 def _components(x: GQuat | GVec3) -> list[float]:
     return list(x.components)
-
-
-def _rows(m) -> list[list[float]]:
-    return m.rows()
 
 
 def _as_is(x):
@@ -203,10 +194,10 @@ _ENCODE: dict[str, Callable[[Any], Any]] = {
     "scalar": _as_is,
     "bool": _as_is,
     "period": _as_is,
-    "mat3": _rows,
-    "mat4": _rows,
-    "mat4_list": lambda mats: [m.rows() for m in mats],
-    "roots": lambda rs: {"degree": rs.degree, "matrices": [m.rows() for m in rs.roots]},
+    "mat3": operator.methodcaller("tolist"),
+    "mat4": operator.methodcaller("tolist"),
+    "mat4_list": lambda mats: [m.tolist() for m in mats],
+    "roots": lambda rs: {"degree": rs.degree, "matrices": [m.tolist() for m in rs.roots]},
     "polar": lambda form: {
         "modulus": form.modulus,
         "theta": form.theta,
@@ -454,11 +445,12 @@ def _parse_argv(argv: Sequence[str]) -> dict:
     return parsed
 
 
-def _int_literal(text: str | None) -> int | str | None:
-    # An integer literal becomes an int; anything else is passed on unchanged,
-    # to be rejected, or ignored by an op that takes no such option.
+def _literal(text: str | None, kind: type) -> Any:
+    # A literal of the option's type (int for --n/--s, float for --tol)
+    # becomes a number; anything else is passed on unchanged, to be rejected,
+    # or ignored by an op that takes no such option.
     try:
-        return int(text)
+        return kind(text)
     except (TypeError, ValueError):
         return text
 
@@ -502,9 +494,9 @@ def main(argv: Sequence[str] | None = None, *, stdout=None, stderr=None) -> int:
         return EXIT_USAGE
 
     # Checked by execute_request as a batch line's options are; None stands
-    # for an absent flag there too, and --tol stays text for float() to read.
-    options = {"n": _int_literal(ns["n"]), "s": _int_literal(ns["s"]),
-               "tolerance": ns["tolerance"]}
+    # for an absent flag there too.
+    options = {"n": _literal(ns["n"], int), "s": _literal(ns["s"], int),
+               "tolerance": _literal(ns["tolerance"], float)}
     request = {
         "params": ns["params"] if ns["params"] else ns["family"],
         "op": ns["op"],

@@ -41,6 +41,19 @@ __all__ = [
 _ZERO_NORM_REL = 1e-12
 
 
+def _store_finite(value, names: tuple[str, ...], prefix: str) -> None:
+    """Store each named field of a frozen value as a float; reject NaN and +-inf.
+
+    The construction check of ``ParamTriple``, ``GQuat`` and ``GVec3``;
+    ``prefix`` goes before the field name in the message.
+    """
+    for name in names:
+        v = getattr(value, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{prefix}{name} must be finite, got {v!r}")
+        object.__setattr__(value, name, float(v))
+
+
 @dataclass(frozen=True)
 class ParamTriple:
     """The (lambda1, lambda2, lambda3) triple selecting one algebra family.
@@ -55,11 +68,7 @@ class ParamTriple:
     lambda3: float
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        _store_finite(self, ("lambda1", "lambda2", "lambda3"), "")
 
     # Pairwise products; these are the coefficients that appear in the
     # product expansion, the norm and the metric.
@@ -139,7 +148,9 @@ def family(name: str, *args: float) -> ParamTriple:
 
 
 def _require_same_params(a: ParamTriple, b: ParamTriple) -> None:
-    if a != b:
+    # The identity test skips the field-by-field comparison, e.g. for
+    # p.dot(p) in norm.
+    if a is not b and a != b:
         raise ParamMismatch(f"parameter triples differ: {a.as_tuple()} vs {b.as_tuple()}")
 
 
@@ -158,11 +169,7 @@ class GQuat:
     params: ParamTriple
 
     def __post_init__(self):
-        for name in ("a0", "a1", "a2", "a3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"component {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        _store_finite(self, ("a0", "a1", "a2", "a3"), "component ")
 
     # --- constructors ------------------------------------------------------
 
@@ -193,10 +200,6 @@ class GQuat:
     @property
     def components(self) -> tuple[float, float, float, float]:
         return (self.a0, self.a1, self.a2, self.a3)
-
-    @property
-    def scalar_part(self) -> float:
-        return self.a0
 
     @property
     def vector_part(self) -> "GVec3":
@@ -267,9 +270,7 @@ class GQuat:
         Equals the scalar part of ``p * p.conj()``; multiplicative over the
         product.  Not a Euclidean length unless all parameters are positive.
         """
-        p = self.params
-        return (self.a0 * self.a0 + p.l12 * self.a1 * self.a1
-                + p.l13 * self.a2 * self.a2 + p.l23 * self.a3 * self.a3)
+        return self.dot(self)
 
     def zero_norm_eps(self) -> float:
         """Scale-aware absolute threshold below which the norm counts as zero.
@@ -325,11 +326,7 @@ class GVec3:
     params: ParamTriple
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"component {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+        _store_finite(self, ("a1", "a2", "a3"), "component ")
 
     @classmethod
     def from_components(cls, comps: Sequence[float], params: ParamTriple) -> "GVec3":
@@ -386,11 +383,13 @@ class GVec3:
 # --- bilinear machinery on pure quaternions --------------------------------
 
 
-def bilinear_f(u: GVec3, v: GVec3) -> float:
+def bilinear_f(u: GVec3 | GQuat, v: GVec3 | GQuat) -> float:
     """Symmetric bilinear form l12*u1*v1 + l13*u2*v2 + l23*u3*v3.
 
     This is the metric the algebra induces on pure quaternions; ``f(u, u)``
     is the norm of the pure quaternion ``u`` and may be negative or zero.
+    A ``GQuat`` argument stands for its vector part, so ``f(p, p)`` is the
+    axis discriminant D of ``p``.
     """
     _require_same_params(u.params, v.params)
     p = u.params

@@ -4,6 +4,19 @@ Every error carries a stable machine-readable ``code`` so front ends (the CLI
 in particular) can map failures without parsing messages.
 """
 
+__all__ = [
+    "AlgebraError",
+    "ParamMismatch",
+    "ZeroNorm",
+    "NonElliptic",
+    "NonUnit",
+    "NotUnitVector",
+    "DegenerateAxis",
+    "NotPositiveFamily",
+    "NoPeriod",
+    "CongruenceViolation",
+]
+
 
 class AlgebraError(Exception):
     """Base class for all domain errors raised by this package."""

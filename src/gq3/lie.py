@@ -45,11 +45,12 @@ def metric_eps(params: ParamTriple) -> Mat3:
     Entries are plain products of the parameters, so the matrix is exact;
     off-diagonal entries are exactly zero.
     """
-    return Mat3([
-        [params.l12, 0.0, 0.0],
-        [0.0, params.l13, 0.0],
-        [0.0, 0.0, params.l23],
-    ], params)
+    return _diagonal(params, params.l12, params.l13, params.l23)
+
+
+def _diagonal(params: ParamTriple, d1: float, d2: float, d3: float) -> Mat3:
+    # The diagonal Mat3 of metric_eps and killing_matrix; off-diagonal +0.0.
+    return Mat3([[d1, 0.0, 0.0], [0.0, d2, 0.0], [0.0, 0.0, d3]], params)
 
 
 def bracket(x: GVec3, y: GVec3) -> GVec3:
@@ -172,12 +173,7 @@ def killing_matrix(params: ParamTriple) -> Mat3:
     The basis is orthogonal under the bilinear form, so the matrix is the
     diagonal -8 * (l12, l13, l23); off-diagonal entries are exactly +0.0.
     """
-    k1, k2, k3 = (_killing_of_form(w) for w in (params.l12, params.l13, params.l23))
-    return Mat3([
-        [k1, 0.0, 0.0],
-        [0.0, k2, 0.0],
-        [0.0, 0.0, k3],
-    ], params)
+    return _diagonal(params, *map(_killing_of_form, (params.l12, params.l13, params.l23)))
 
 
 def is_compact(params: ParamTriple) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GQuat, ParamTriple
+from .core import GQuat, ParamTriple, bilinear_f
 from .errors import DegenerateAxis
 
 __all__ = [
@@ -65,10 +65,6 @@ class _TaggedMatrix(np.ndarray):
         if obj is None:
             return
         self.params = getattr(obj, "params", None)
-
-    def rows(self) -> list[list[float]]:
-        """Row-major nested lists, the JSON wire format."""
-        return self.tolist()
 
 
 class Mat4(_TaggedMatrix):
@@ -196,19 +192,14 @@ class EigenPair:
     multiplicity: int = 2
 
 
-def _axis_discriminant(p: GQuat) -> float:
-    pr = p.params
-    return pr.l12 * p.a1 * p.a1 + pr.l13 * p.a2 * p.a2 + pr.l23 * p.a3 * p.a3
-
-
 def eigenvalues(p: GQuat) -> tuple[EigenPair, EigenPair]:
     """Both eigenvalues a0 +/- sqrt(-D) of left_matrix(p), multiplicity 2 each.
 
-    D is the weighted sum of squared vector components; the values are a
-    complex-conjugate pair when D > 0 and real when D <= 0.  Their product is
-    the quaternion norm.
+    D = f(p, p) is the weighted sum of squared vector components; the values
+    are a complex-conjugate pair when D > 0 and real when D <= 0.  Their
+    product is the quaternion norm.
     """
-    d = _axis_discriminant(p)
+    d = bilinear_f(p, p)
     w = cmath.sqrt(complex(-d, 0.0))
     return (EigenPair(p.a0 + w), EigenPair(p.a0 - w))
 
@@ -229,8 +220,7 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
         raise DegenerateAxis(
             f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} vanishes")
 
-    d = _axis_discriminant(p)
-    w = cmath.sqrt(complex(-d, 0.0))
+    w = cmath.sqrt(complex(-bilinear_f(p, p), 0.0))
     t_plus = p.a0 + w
     t_minus = p.a0 - w
 

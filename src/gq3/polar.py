@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import GQuat, GVec3, ParamTriple, bilinear_f
 from .errors import NonElliptic, NonUnit, NotUnitVector, ZeroNorm, NoPeriod, CongruenceViolation
-from .matrices import Mat4, _axis_discriminant, _left_rows
+from .matrices import Mat4, _left_rows
 
 __all__ = [
     "PolarForm",
@@ -53,7 +53,8 @@ class PolarForm:
     ``modulus`` is the positive square root of the norm and ``theta`` lies in
     [0, pi].  ``axis`` is a unit vector under the bilinear form, except for
     pure scalars, where any axis would do: then ``axis`` is None and theta is
-    0 or pi.
+    0 or pi.  ``compose`` accepts any modulus and angle, so De Moivre powers
+    and exponentials are built through it as well.
     """
 
     modulus: float
@@ -62,7 +63,7 @@ class PolarForm:
     params: ParamTriple
 
     def compose(self) -> GQuat:
-        """Rebuild the quaternion this form decomposes."""
+        """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis."""
         c = self.modulus * math.cos(self.theta)
         if self.axis is None:
             return GQuat.scalar(c, self.params)
@@ -95,7 +96,7 @@ def to_polar(p: GQuat) -> PolarForm:
     n = p.norm()
     if n <= p.zero_norm_eps():
         raise ZeroNorm(f"norm {n} is not positive; no real modulus exists")
-    d = _axis_discriminant(p)
+    d = bilinear_f(p, p)
     if d <= 0.0:
         raise NonElliptic(f"axis discriminant {d} is not positive; element is not elliptic")
 
@@ -112,14 +113,8 @@ def demoivre_pow(p: GQuat, n: int) -> GQuat:
     is positive).  Requires an elliptic input; pure scalars are rejected.
     """
     _require_int(n)
-    form = to_polar(p)
-    if form.axis is None:
-        raise NonElliptic("pure scalar has no polar axis; power by angle is undefined")
-    m = form.modulus ** n
-    c = m * math.cos(n * form.theta)
-    s = m * math.sin(n * form.theta)
-    ax = form.axis
-    return GQuat(c, s * ax.a1, s * ax.a2, s * ax.a3, p.params)
+    form = _axis_polar(p)
+    return PolarForm(form.modulus ** n, n * form.theta, form.axis, p.params).compose()
 
 
 def polar_matrix(axis: GVec3, theta: float) -> Mat4:
@@ -138,19 +133,35 @@ def _require_int(n) -> None:
         raise TypeError(f"exponent must be an integer, got {type(n).__name__}")
 
 
-def _unit_polar(p: GQuat, unit_tol: float) -> PolarForm:
-    n = p.norm()
-    if abs(n - 1.0) > unit_tol:
-        raise NonUnit(f"norm {n} != 1; operation is defined for unit quaternions")
+def _check_tolerance(tol: float, name: str) -> None:
+    """Raise ValueError unless the gate tolerance ``tol`` is finite and >= 0.
+
+    abs(x) > nan is always false, so a NaN tolerance would open every gate.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
+def _axis_polar(p: GQuat) -> PolarForm:
+    # to_polar for the operations that turn the angle about the axis.
     form = to_polar(p)
     if form.axis is None:
         raise NonElliptic("pure scalar has no polar axis")
     return form
 
 
+def _unit_polar(p: GQuat, unit_tol: float) -> PolarForm:
+    _check_tolerance(unit_tol, "unit_tol")
+    n = p.norm()
+    if abs(n - 1.0) > unit_tol:
+        raise NonUnit(f"norm {n} != 1; operation is defined for unit quaternions")
+    return _axis_polar(p)
+
+
 def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
     # The unit-axis gate, |f(v, v) - 1| <= axis_tol, of every operation that
     # needs a unit direction; ``name`` labels the vector in the message.
+    _check_tolerance(axis_tol, "axis_tol")
     ff = bilinear_f(v, v)
     if abs(ff - 1.0) > axis_tol:
         raise NotUnitVector(f"f({name}, {name}) = {ff} != 1")
@@ -187,9 +198,7 @@ def euler_exp(v: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> GQu
     algebra, making the exponential series collapse to cosine and sine.
     """
     _require_unit_axis(v, axis_tol, "v")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return GQuat(c, s * v.a1, s * v.a2, s * v.a3, v.params)
+    return PolarForm(1.0, theta, v, v.params).compose()
 
 
 def euler_exp_matrix(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat4:
@@ -243,9 +252,7 @@ def scaled_power_relation(p: GQuat, n: int, s: int, *,
     """
     _require_int(n)
     _require_int(s)
-    form = to_polar(p)
-    if form.axis is None:
-        raise NonElliptic("pure scalar has no polar axis")
+    form = _axis_polar(p)
     m = _period(form.theta, period_rel_tol)
     if (n - s) % m != 0:
         raise CongruenceViolation(f"{n} != {s} (mod {m})")

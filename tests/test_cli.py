@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,30 @@ def test_mul_example():
     code, out, err = run(["--family", "hamilton", "mul", "1,0,0,0", "0,1,0,0"])
     assert code == 0
     assert out == '{"status":"ok","result":{"quat":[0.0,1.0,0.0,0.0]}}\n'
+
+
+def _readme_examples() -> list[tuple[list[str], str, int]]:
+    """(argv, stdout, exit code) of each "$ gq3 ..." line in README.md.
+
+    The line after the command is its stdout; "# exits N" gives a nonzero
+    exit code.
+    """
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    examples = []
+    for command, printed in zip(lines, lines[1:]):
+        if command.startswith("$ gq3 "):
+            exits = re.search(r"# exits (\d+)", command)
+            examples.append((shlex.split(command[2:], comments=True)[1:], printed + "\n",
+                             int(exits.group(1)) if exits else 0))
+    return examples
+
+
+def test_readme_examples_print_what_they_show():
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for argv, printed, exit_code in examples:
+        assert run(argv)[:2] == (exit_code, printed), argv
 
 
 def test_pow_of_worked_example():
@@ -408,6 +435,8 @@ def test_execute_request_missing_params():
     {"op": "exp", "operands": [[1, 0, 0], 0.5], "options": {"tolerance": math.nan}},
     {"op": "roots", "operands": [[0.6, 0.8, 0, 0]], "options": {"n": 2, "tolerance": -1e-9}},
     {"op": "norm", "operands": [[1, 0, 0, 0]], "options": {"tolerance": 1e-6}},
+    {"op": "period", "operands": [[1.2, 0.3, 0, 0]], "options": {"tolerance": True}},
+    {"op": "period", "operands": [[1.2, 0.3, 0, 0]], "options": {"tolerance": "0.6"}},
 ])
 def test_execute_request_rejects_bad_numbers(request_):
     response, code = execute_request({"params": [1, 1, 1], **request_})

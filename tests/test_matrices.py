@@ -326,7 +326,7 @@ def test_matrix_is_read_only_and_keeps_params(cls, size):
     assert not m.flags.writeable
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
-    assert m.rows() == data.tolist()
+    assert m.tolist() == data.tolist()
     data[0, 0] = 99.0  # the input is copied, not frozen or shared
     assert m[0, 0] == 0.0
 
@@ -337,4 +337,4 @@ def test_mat4_keeps_params_through_arithmetic():
     prod = m @ m
     assert isinstance(prod, Mat4)
     assert prod.params == H
-    assert m.rows()[1][0] == 1.0
+    assert m.tolist()[1][0] == 1.0

@@ -27,6 +27,7 @@ from gq3 import (
     scaled_power_relation,
     to_polar,
 )
+from gq3.lie import adjoint_rodrigues
 from gq3.oracle import pow_by_repetition
 from helpers import (
     POSITIVE_FAMILIES,
@@ -222,6 +223,26 @@ def test_matrix_power_requires_unit_norm():
     with pytest.raises(NonUnit):
         matrix_pow(fuzzy, 2)
     matrix_pow(fuzzy, 2, unit_tol=1e-5)
+
+
+# Every library call that takes a gate tolerance, on an input (norm 5, or
+# f(v, v) = 4) that the gate must refuse.
+TOLERANCE_CALLS = {
+    "matrix_pow": lambda tol: matrix_pow(GQuat(2.0, 0.0, 0.0, 1.0, H), 2, unit_tol=tol),
+    "matrix_roots": lambda tol: matrix_roots(GQuat(2.0, 0.0, 0.0, 1.0, H), 2, unit_tol=tol),
+    "power_period": lambda tol: power_period(GQuat(2.0, 0.0, 0.0, 1.0, H), unit_tol=tol),
+    "euler_exp": lambda tol: euler_exp(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
+    "euler_exp_matrix": lambda tol: euler_exp_matrix(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
+    "adjoint_rodrigues": lambda tol: adjoint_rodrigues(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
+def test_gate_tolerance_must_be_finite_and_non_negative(name, tol):
+    # abs(x) > nan is false for every x, so a NaN tolerance would open the gate.
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        TOLERANCE_CALLS[name](tol)
 
 
 # --- exponentials --------------------------------------------------------------------
