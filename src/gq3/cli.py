@@ -17,6 +17,7 @@ stdout carries only JSON; diagnostics go to stderr.  Exit codes: 0 success,
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -183,21 +184,33 @@ def _as_is(x):
     return x
 
 
+# Quaternion, vector and matrix results were checked for finite entries when
+# they were built; these two check the floats no constructor saw.  Their
+# ValueError is answered as non_finite.
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"result {x} is not finite")
+    return x
+
+
 def _complex(z: complex) -> list[float]:
+    if not cmath.isfinite(z):
+        raise ValueError(f"result {z} is not finite")
     return [z.real, z.imag]
 
 
-# Result tag -> how the value under that tag is written.
+# Result tag -> how the value under that tag is written.  Matrices are tuples
+# of row tuples, which json writes as nested arrays.
 _ENCODE: dict[str, Callable[[Any], Any]] = {
     "quat": _components,
     "vector": _components,
-    "scalar": _as_is,
+    "scalar": _finite,
     "bool": _as_is,
     "period": _as_is,
-    "mat3": operator.methodcaller("tolist"),
-    "mat4": operator.methodcaller("tolist"),
-    "mat4_list": lambda mats: [m.tolist() for m in mats],
-    "roots": lambda rs: {"degree": rs.degree, "matrices": [m.tolist() for m in rs.roots]},
+    "mat3": _as_is,
+    "mat4": _as_is,
+    "mat4_list": _as_is,
+    "roots": lambda rs: {"degree": rs.degree, "matrices": rs.roots},
     "polar": lambda form: {
         "modulus": form.modulus,
         "theta": form.theta,
@@ -209,8 +222,8 @@ _ENCODE: dict[str, Callable[[Any], Any]] = {
         {"value": _complex(e.value), "vector": [_complex(z) for z in e.vector]}
         for e in pairs
     ],
-    "char_poly": lambda cp: {"coefficients": list(cp.coefficients),
-                             "quadratic": list(cp.quadratic)},
+    "char_poly": lambda cp: {"coefficients": list(map(_finite, cp.coefficients)),
+                             "quadratic": list(map(_finite, cp.quadratic))},
 }
 
 
@@ -362,8 +375,8 @@ def execute_request(request: dict) -> tuple[dict, int]:
     except AlgebraError as exc:
         return _error(exc.code, exc), EXIT_DOMAIN_ERROR
     except (ValueError, OverflowError) as exc:
-        # finite operands whose result left double range (construction rejects
-        # non-finite components); report instead of crashing
+        # finite operands whose result left double range (construction and
+        # encoding reject non-finite values); report instead of crashing
         return _error("non_finite", exc), EXIT_DOMAIN_ERROR
     return {"status": "ok", "result": result}, EXIT_OK
 
@@ -371,7 +384,12 @@ def execute_request(request: dict) -> tuple[dict, int]:
 def _emit(response: dict, out) -> None:
     # json.dumps runs the C encoder; json.dump would run the pure-Python one
     # and write once per token.  The bytes are the same.
-    out.write(json.dumps(response, separators=(",", ":")) + "\n")
+    try:
+        text = json.dumps(response, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        # A non-finite float that no check above caught: still one valid line.
+        text = json.dumps(_error("non_finite", exc), separators=(",", ":"))
+    out.write(text + "\n")
 
 
 def _run_batch(path: str, out, err) -> int:

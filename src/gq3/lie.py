@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import GQuat, GVec3, ParamTriple, bilinear_f, wedge
 from .errors import NotPositiveFamily
 from .matrices import Mat3
@@ -138,9 +136,9 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
             f"rotation decomposition needs all lambdas > 0, got {axis.params.as_tuple()}")
     _require_unit_axis(axis, axis_tol, "axis")
     s = skew_of_axis(axis)
-    sa = np.asarray(s, dtype=float)
-    out = np.eye(3) + math.sin(theta) * sa + (1.0 - math.cos(theta)) * (sa @ sa)
-    return Mat3(out, axis.params)
+    st, ct = math.sin(theta), 1.0 - math.cos(theta)
+    return Mat3([[float(i == j) + st * a + ct * b for j, (a, b) in enumerate(zip(row, sq_row))]
+                 for i, (row, sq_row) in enumerate(zip(s, s @ s))], axis.params)
 
 
 def ad_matrix(x: GVec3) -> Mat3:

@@ -13,9 +13,9 @@ Complex numbers appear only in the eigen data; everything else is real.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from .core import GQuat, ParamTriple, bilinear_f
 from .errors import DegenerateAxis
@@ -38,41 +38,82 @@ __all__ = [
 _DEGENERATE_REL = 1e-12
 
 
-class _TaggedMatrix(np.ndarray):
-    """Dense real matrix that remembers the parameter triple it came from.
+class _TaggedMatrix(tuple):
+    """Immutable real square matrix that remembers the parameter triple it came from.
 
-    Thin ndarray subclass: all numpy arithmetic works, results keep the tag of
-    the left operand.  The tag is provenance only; it is never consulted by
-    numpy itself.
+    A tuple of row tuples of floats: rows index and iterate as usual,
+    ``m[i, j]`` reads one entry, and ``json`` writes the matrix as nested
+    arrays.  ``@`` between two matrices of the same shape is computed here,
+    each entry summed left to right from 0.0, and keeps the tag of the left
+    operand.  ``np.asarray(m)`` gives an ndarray; numpy is imported only then.
+    The tag is provenance only.
     """
 
-    _shape: tuple[int, int] = ()
+    shape: tuple[int, int] = ()
 
     def __new__(cls, data, params: ParamTriple | None = None):
-        arr = np.array(data, dtype=float)
-        if arr.shape != cls._shape:
-            raise ValueError(f"{cls.__name__} needs shape {cls._shape}, got {arr.shape}")
-        # isfinite flags NaN and +-inf without a RuntimeWarning; count_nonzero
-        # skips the Python-level dispatch of np.all.
-        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+        rows = _float_rows(data, cls.shape[0], cls.__name__)
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise ValueError(f"{cls.__name__} entries must be finite")
-        arr.setflags(write=False)
-        obj = arr.view(cls)
+        obj = tuple.__new__(cls, rows)
         obj.params = params
         return obj
 
-    def __array_finalize__(self, obj):
-        if obj is None:
-            return
-        self.params = getattr(obj, "params", None)
+    def __getitem__(self, key):
+        if type(key) is tuple:
+            i, j = key
+            return tuple.__getitem__(self, i)[j]
+        return tuple.__getitem__(self, key)
+
+    def __add__(self, other):
+        # Not tuple concatenation (nor, below, repetition): elementwise
+        # arithmetic is numpy's, on np.asarray(m).
+        return NotImplemented
+
+    __mul__ = __rmul__ = __add__
+
+    def __matmul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        cols = tuple(zip(*other))
+        return type(self)([[_dot(row, col) for col in cols] for row in self], self.params)
+
+    def tolist(self) -> list[list[float]]:
+        return [list(row) for row in self]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError(f"{type(self).__name__} holds Python floats; an array is a copy")
+        import numpy as np
+
+        return np.array(tuple(self), dtype=float if dtype is None else dtype)
+
+
+def _float_rows(data, n: int, what: str) -> tuple[tuple[float, ...], ...]:
+    # A copy of an n x n matrix (any sequence of rows) as row tuples of floats.
+    try:
+        rows = tuple([tuple(map(float, row)) for row in data])
+    except TypeError as exc:
+        raise ValueError(f"{what} needs {n} rows of {n} numbers: {exc}") from None
+    if len(rows) != n or {len(row) for row in rows} != {n}:
+        raise ValueError(f"{what} needs a {n}x{n} matrix, "
+                         f"got rows of lengths {[len(row) for row in rows]}")
+    return rows
+
+
+def _dot(row, col) -> float:
+    acc = 0.0
+    for a, b in zip(row, col):
+        acc += a * b
+    return acc
 
 
 class Mat4(_TaggedMatrix):
-    _shape = (4, 4)
+    shape = (4, 4)
 
 
 class Mat3(_TaggedMatrix):
-    _shape = (3, 3)
+    shape = (3, 3)
 
 
 def left_matrix(p: GQuat) -> Mat4:
@@ -131,14 +172,13 @@ def _det3(m, r0: int, r1: int, r2: int, c0: int, c1: int, c2: int) -> float:
 def det4(m) -> float:
     """Determinant of a 4x4 matrix by cofactor expansion along the first row.
 
-    Deliberately the explicit small-size formula (no pivoting, no numpy
-    linear algebra) so the value is easy to audit; for a left-multiplication
-    matrix it equals the squared quaternion norm.
+    Takes any 4x4 sequence of rows, ndarray included.  Deliberately the
+    explicit small-size formula (no pivoting, no linear algebra library) so
+    the value is easy to audit; for a left-multiplication matrix it equals
+    the squared quaternion norm.
     """
-    a = np.asarray(m, dtype=float)
-    if a.shape != (4, 4):
-        raise ValueError(f"det4 needs a 4x4 matrix, got shape {a.shape}")
-    rows = a.tolist()
+    # A Mat4 already holds four rows of four floats; tuple() drops its indexing.
+    rows = tuple(m) if isinstance(m, Mat4) else _float_rows(m, 4, "det4")
     sign = 1.0
     total = 0.0
     cols = (0, 1, 2, 3)

@@ -172,6 +172,7 @@ def _period(theta: float, period_rel_tol: float) -> int:
 
     Raises NoPeriod when there is none.
     """
+    _check_tolerance(period_rel_tol, "period_rel_tol")
     ratio = 2.0 * math.pi / theta
     m = round(ratio)
     if not (m >= 2 and abs(ratio - m) < period_rel_tol * ratio):

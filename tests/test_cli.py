@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gq3.cli import OPS, execute_request, main
+from gq3.cli import OPS, _emit, execute_request, main
 
 
 def run(argv):
@@ -268,6 +268,33 @@ def test_overflowing_result_reports_instead_of_crashing():
     assert body["code"] == "non_finite"
 
 
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("op,operands", [
+    ("norm", ["1e200,0,0,0"]),
+    ("dot", ["1e200,0,0,0", "1e200,0,0,0"]),
+    ("det", ["1e200,0,0,0"]),  # inf - inf in the cofactor expansion: NaN
+    ("eigenvalues", ["1e200,1e200,0,0"]),
+    ("char-poly", ["1e200,0,0,0"]),
+    ("killing", ["1e200,0,0", "1e200,0,0"]),
+])
+def test_overflowing_number_results_are_non_finite_errors(op, operands):
+    code, out, err = run(["--params", "1,1,1", op, *operands])
+    assert code == 1
+    assert _strict_json(out)["code"] == "non_finite"
+
+
+def test_emit_writes_strict_json_for_an_unchecked_infinity():
+    out = io.StringIO()
+    _emit({"status": "ok", "result": {"scalar": math.inf}}, out)
+    assert out.getvalue().endswith("\n")
+    assert _strict_json(out.getvalue())["code"] == "non_finite"
+
+
 def test_help_is_available():
     code, out, err = run(["--help"])
     assert code == 0
@@ -400,7 +427,8 @@ def test_batch_bytes_equal_per_request_encoding(tmp_path):
     assert all(r["status"] == "ok" for r in responses[:len(OPS)])
     codes = {r["code"] for r in responses if r["status"] == "error"}
     assert codes == {c for _, c in ERROR_CASES} | {"non_finite", "bad_request"}
-    assert "Infinity" in out.splitlines()[-2]
+    # norm of 1e200 overflows: answered as an error, never as Infinity
+    assert json.loads(out.splitlines()[-2])["code"] == "non_finite"
     assert "-0.0" in out.splitlines()[-1]
 
 

@@ -1,5 +1,8 @@
 """Left/right matrix representations, base matrices, determinant, spectrum."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -323,12 +326,19 @@ def test_matrix_is_read_only_and_keeps_params(cls, size):
     m = cls(data, H)
     assert isinstance(m, cls)
     assert m.params == H
-    assert not m.flags.writeable
-    with pytest.raises(ValueError):
+    assert m.shape == (size, size)
+    with pytest.raises(TypeError):
         m[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        m[0][0] = 1.0
     assert m.tolist() == data.tolist()
     data[0, 0] = 99.0  # the input is copied, not frozen or shared
     assert m[0, 0] == 0.0
+    rows = data.tolist()
+    m = cls(rows, H)
+    rows[0][0] = 7.0
+    m.tolist()[0][0] = 7.0
+    assert m[0][0] == 99.0
 
 
 def test_mat4_keeps_params_through_arithmetic():
@@ -338,3 +348,49 @@ def test_mat4_keeps_params_through_arithmetic():
     assert isinstance(prod, Mat4)
     assert prod.params == H
     assert m.tolist()[1][0] == 1.0
+    assert prod.tolist() == (-np.eye(4)).tolist()  # e1^2 = -1 at Hamilton
+
+
+def test_matrix_product_matches_numpy_and_keeps_left_tag(rng):
+    other = ParamTriple(2.0, 3.0, 5.0)
+    for cls, size in ((Mat3, 3), (Mat4, 4)):
+        a, b = rng.standard_normal((2, size, size))
+        prod = cls(a, H) @ cls(b, other)
+        assert isinstance(prod, cls) and prod.params == H
+        assert np.allclose(as_array(prod), a @ b, rtol=0, atol=1e-14 * np.abs(a @ b).max())
+
+
+def test_matrix_product_needs_equal_shapes():
+    m3, m4 = Mat3(np.eye(3), H), Mat4(np.eye(4), H)
+    for left, right in ((m3, m4), (m4, m3)):
+        with pytest.raises(TypeError):
+            left @ right
+
+
+def test_matrix_has_no_tuple_arithmetic():
+    # + and * would concatenate or repeat the rows; elementwise arithmetic
+    # goes through np.asarray instead.
+    m = Mat4(np.eye(4), H)
+    for op in (lambda: m + m, lambda: m * 2, lambda: 2 * m):
+        with pytest.raises(TypeError):
+            op()
+    assert np.array_equal(2.0 * as_array(m) + m, 3.0 * np.eye(4))
+
+
+def test_matrix_keeps_negative_zero():
+    rows = [[-0.0, 1.0, 0.0], [0.0, -0.0, 2.0], [3.0, 4.0, -0.0]]
+    m = Mat3(rows, H)
+    signs = [[math.copysign(1.0, x) for x in row] for row in m.tolist()]
+    assert signs == [[math.copysign(1.0, x) for x in row] for row in rows]
+    assert json.dumps(m) == json.dumps(rows)
+
+
+@pytest.mark.parametrize("cls,size", [(Mat3, 3), (Mat4, 4)])
+def test_matrix_round_trips_through_numpy(rng, cls, size):
+    data = rng.standard_normal((size, size))
+    m = cls(data, H)
+    arr = np.asarray(m)
+    assert arr.dtype == np.float64 and arr.shape == (size, size)
+    assert np.array_equal(arr, data)
+    assert cls(arr, H) == m
+    assert np.asarray(m, dtype=np.float32).dtype == np.float32

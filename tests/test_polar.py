@@ -234,6 +234,11 @@ TOLERANCE_CALLS = {
     "euler_exp": lambda tol: euler_exp(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
     "euler_exp_matrix": lambda tol: euler_exp_matrix(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
     "adjoint_rodrigues": lambda tol: adjoint_rodrigues(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
+    # valid inputs: with period_rel_tol=inf the turn by one radian had period 6
+    "power_period_rel": lambda tol: power_period(
+        GQuat(math.cos(1.0), math.sin(1.0), 0.0, 0.0, H), period_rel_tol=tol),
+    "scaled_power_relation": lambda tol: scaled_power_relation(
+        GQuat(-0.5, 0.5, 0.5, 0.5, H), 4, 1, period_rel_tol=tol),
 }
 
 
