@@ -15,7 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add, mul
 
 from .core import GQuat, ParamTriple, bilinear_f
 from .errors import DegenerateAxis
@@ -39,7 +41,7 @@ _DEGENERATE_REL = 1e-12
 
 
 class _TaggedMatrix(tuple):
-    """Immutable real square matrix that remembers the parameter triple it came from.
+    """Read-only real square matrix that remembers the parameter triple it came from.
 
     A tuple of row tuples of floats: rows index and iterate as usual,
     ``m[i, j]`` reads one entry, and ``json`` writes the matrix as nested
@@ -76,7 +78,8 @@ class _TaggedMatrix(tuple):
         if type(other) is not type(self):
             return NotImplemented
         cols = tuple(zip(*other))
-        return type(self)([[_dot(row, col) for col in cols] for row in self], self.params)
+        return type(self)([[reduce(add, map(mul, row, col), 0.0) for col in cols] for row in self],
+                          self.params)
 
     def tolist(self) -> list[list[float]]:
         return [list(row) for row in self]
@@ -99,13 +102,6 @@ def _float_rows(data, n: int, what: str) -> tuple[tuple[float, ...], ...]:
         raise ValueError(f"{what} needs a {n}x{n} matrix, "
                          f"got rows of lengths {[len(row) for row in rows]}")
     return rows
-
-
-def _dot(row, col) -> float:
-    acc = 0.0
-    for a, b in zip(row, col):
-        acc += a * b
-    return acc
 
 
 class Mat4(_TaggedMatrix):

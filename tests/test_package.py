@@ -1,10 +1,8 @@
-"""The package's export list is the union of its modules' public lists."""
+"""The package's export list, and the standard-library-only runtime."""
 
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 import gq3
 from gq3 import core, errors, lie, matrices, polar
@@ -27,17 +25,11 @@ def test_each_export_is_the_module_object():
 
 
 def test_runtime_does_not_import_numpy():
-    # -I ignores PYTHONPATH and the user's site, so the source tree goes on
-    # sys.path by hand; numpy loading at start-up costs about 110 ms.
+    # Importing numpy would more than double the start-up time of a gq3
+    # process.  -I ignores PYTHONPATH, so the source tree goes on sys.path
+    # by hand.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import gq3, gq3.cli; print('numpy' in sys.modules)")
     done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
-
-
-def test_matrices_convert_to_numpy_on_request():
-    m = gq3.left_matrix(gq3.GQuat(1.0, 2.0, -3.0, 0.5, gq3.ParamTriple(2.0, 3.0, 5.0)))
-    arr = np.asarray(m)
-    assert arr.shape == m.shape and arr.tolist() == m.tolist()
-    assert gq3.Mat4(arr, m.params) == m
