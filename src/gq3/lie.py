@@ -137,7 +137,7 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
     _require_unit_axis(axis, axis_tol, "axis")
     s = skew_of_axis(axis)
     st, ct = math.sin(theta), 1.0 - math.cos(theta)
-    # Entry by entry (I + st*S) + ct*S^2, the order numpy's array sum took.
+    # Entry by entry as (I + st*S) + ct*S^2: another order changes the last bits.
     return Mat3([[float(i == j) + st * a + ct * b for j, (a, b) in enumerate(zip(row, sq_row))]
                  for i, (row, sq_row) in enumerate(zip(s, s @ s))], axis.params)
 
