@@ -250,7 +250,7 @@ class OpSpec:
     tag: str
     ints: tuple[str, ...]
     tol: str | None
-    root_degree: bool  # option n is a root degree and must be at least one
+    root_degree: bool  # option n is a root degree, from 1 to polar.MAX_ROOT_DEGREE
 
 
 def _op(operands: str, call: str, tag: str, summary: str, *, ints: str = "",
@@ -361,8 +361,8 @@ def execute_request(request: dict) -> tuple[dict, int]:
                 if op.operands else [params])
         for key in op.ints:
             args.append(_require_int_option(options, key))
-        if op.root_degree and args[-1] < 1:
-            raise RequestError(f"root degree must be >= 1, got {args[-1]}")
+        if op.root_degree:
+            polar._check_root_degree(args[-1])  # its ValueError is a bad_request
         kwargs = _tolerance(options, op_name, op.tol)
     except (RequestError, ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")

@@ -54,6 +54,36 @@ def _store_finite(value, names: tuple[str, ...], prefix: str) -> None:
         object.__setattr__(value, name, float(v))
 
 
+# --- kernels: each closed form once, as plain arithmetic over lam = (l1, l2, l3) and
+# component tuples, with no validation or math calls; tests/test_proofs.py runs them on sympy.
+
+
+def _wedge(lam, u, v):
+    l1, l2, l3 = lam
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    return (l3 * (u2 * v3 - u3 * v2), l2 * (u3 * v1 - u1 * v3), l1 * (u1 * v2 - u2 * v1))
+
+
+def _product(lam, a, b):
+    l1, l2, l3 = lam
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+    w1, w2, w3 = _wedge(lam, a[1:], b[1:])
+    # The scalar term is weight*(ai*bi): swapped operands give the same terms bit
+    # for bit, so the scalar part of a commutator of pure elements cancels exactly.
+    return (a0 * b0 - l1 * l2 * (a1 * b1) - l1 * l3 * (a2 * b2) - l2 * l3 * (a3 * b3),
+            a0 * b1 + b0 * a1 + w1, a0 * b2 + b0 * a2 + w2, a0 * b3 + b0 * a3 + w3)
+
+
+def _dot(lam, a, b):
+    l1, l2, l3 = lam
+    return a[0] * b[0] + l1 * l2 * a[1] * b[1] + l1 * l3 * a[2] * b[2] + l2 * l3 * a[3] * b[3]
+
+
+def _bilinear(lam, u, v):
+    l1, l2, l3 = lam
+    return l1 * l2 * u[0] * v[0] + l1 * l3 * u[1] * v[1] + l2 * l3 * u[2] * v[2]
+
+
 @dataclass(frozen=True)
 class ParamTriple:
     """The (lambda1, lambda2, lambda3) triple selecting one algebra family.
@@ -191,9 +221,7 @@ class GQuat:
         """Basis element e_i for i in 0..3 (e_0 is the unit scalar)."""
         if i not in (0, 1, 2, 3):
             raise ValueError(f"basis index must be 0..3, got {i}")
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[i] = 1.0
-        return cls(*comps, params)
+        return cls(*(float(j == i) for j in range(4)), params)
 
     # --- views -------------------------------------------------------------
 
@@ -231,29 +259,14 @@ class GQuat:
     def __mul__(self, other):
         if isinstance(other, GQuat):
             _require_same_params(self.params, other.params)
-            pr = self.params
-            l1, l2, l3 = pr.as_tuple()
-            a0, a1, a2, a3 = self.components
-            b0, b1, b2, b3 = other.components
-            # Scalar term grouped as weight*(ai*bi) so that swapping the
-            # operands reproduces bit-identical terms; the scalar part of a
-            # commutator of pure elements then cancels exactly.
-            return GQuat(
-                a0 * b0 - pr.l12 * (a1 * b1) - pr.l13 * (a2 * b2) - pr.l23 * (a3 * b3),
-                a0 * b1 + b0 * a1 + l3 * (a2 * b3 - a3 * b2),
-                a0 * b2 + b0 * a2 + l2 * (a3 * b1 - a1 * b3),
-                a0 * b3 + a3 * b0 + l1 * (a1 * b2 - a2 * b1),
-                self.params,
-            )
+            return GQuat(*_product(self.params.as_tuple(), self.components, other.components),
+                         self.params)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # Only scalars reach here; quaternion*quaternion binds via __mul__.
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return NotImplemented
+    # Only scalars reach __rmul__; quaternion*quaternion binds via __mul__.
+    __rmul__ = __mul__
 
     def scale(self, c: float) -> "GQuat":
         return GQuat(c * self.a0, c * self.a1, c * self.a2, c * self.a3, self.params)
@@ -307,9 +320,7 @@ class GQuat:
         norm when both arguments agree.
         """
         _require_same_params(self.params, other.params)
-        p = self.params
-        return (self.a0 * other.a0 + p.l12 * self.a1 * other.a1
-                + p.l13 * self.a2 * other.a2 + p.l23 * self.a3 * other.a3)
+        return _dot(self.params.as_tuple(), self.components, other.components)
 
     def __repr__(self) -> str:
         return (f"GQuat({self.a0:g}, {self.a1:g}, {self.a2:g}, {self.a3:g}; "
@@ -338,9 +349,7 @@ class GVec3:
         """Basis vector e_i for i in 1..3."""
         if i not in (1, 2, 3):
             raise ValueError(f"vector basis index must be 1..3, got {i}")
-        comps = [0.0, 0.0, 0.0]
-        comps[i - 1] = 1.0
-        return cls(*comps, params)
+        return cls(*(float(j == i) for j in (1, 2, 3)), params)
 
     @property
     def components(self) -> tuple[float, float, float]:
@@ -392,8 +401,7 @@ def bilinear_f(u: GVec3 | GQuat, v: GVec3 | GQuat) -> float:
     axis discriminant D of ``p``.
     """
     _require_same_params(u.params, v.params)
-    p = u.params
-    return p.l12 * u.a1 * v.a1 + p.l13 * u.a2 * v.a2 + p.l23 * u.a3 * v.a3
+    return _bilinear(u.params.as_tuple(), (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3))
 
 
 def wedge(u: GVec3, v: GVec3) -> GVec3:
@@ -403,13 +411,7 @@ def wedge(u: GVec3, v: GVec3) -> GVec3:
     equal to the antisymmetric part of the algebra product of ``u`` and ``v``.
     """
     _require_same_params(u.params, v.params)
-    l1, l2, l3 = u.params.as_tuple()
-    return GVec3(
-        l3 * (u.a2 * v.a3 - u.a3 * v.a2),
-        l2 * (u.a3 * v.a1 - u.a1 * v.a3),
-        l1 * (u.a1 * v.a2 - u.a2 * v.a1),
-        u.params,
-    )
+    return GVec3(*_wedge(u.params.as_tuple(), u.components, v.components), u.params)
 
 
 def wedge_triple_left(p: GVec3, q: GVec3, r: GVec3) -> GVec3:

@@ -15,6 +15,7 @@ __all__ = [
     "NotPositiveFamily",
     "NoPeriod",
     "CongruenceViolation",
+    "NonFinite",
 ]
 
 
@@ -76,3 +77,9 @@ class CongruenceViolation(AlgebraError):
     """The requested exponents are not congruent modulo the power period."""
 
     code = "congruence_violation"
+
+
+class NonFinite(AlgebraError):
+    """A result or intermediate value left the range of finite floats."""
+
+    code = "non_finite"

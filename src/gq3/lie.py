@@ -20,7 +20,7 @@ import math
 
 from .core import GQuat, GVec3, ParamTriple, bilinear_f, wedge
 from .errors import NotPositiveFamily
-from .matrices import Mat3
+from .matrices import Mat3, _skew_rows
 from .polar import UNIT_AXIS_TOL, _require_unit_axis
 
 __all__ = [
@@ -72,7 +72,8 @@ def adjoint_group(p: GQuat) -> Mat3:
     ``oracle.conjugation_columns``, which the tests compare against.
     """
     n = p._nonnull_norm()
-    return Mat3([[e / n for e in row] for row in _adjoint_polynomials(p)], p.params)
+    rows = _adjoint_polynomials(p.params.as_tuple(), p.components)
+    return Mat3([[e / n for e in row] for row in rows], p.params)
 
 
 def adjoint_closed_form(p: GQuat) -> Mat3:
@@ -84,12 +85,14 @@ def adjoint_closed_form(p: GQuat) -> Mat3:
     metric by norm(p)^2 and has determinant norm(p)^3 for every p, unit or
     not.
     """
-    return Mat3(_adjoint_polynomials(p), p.params)
+    return Mat3(_adjoint_polynomials(p.params.as_tuple(), p.components), p.params)
 
 
-def _adjoint_polynomials(p: GQuat) -> list[list[float]]:
-    l1, l2, l3 = p.params.as_tuple()
-    a0, a1, a2, a3 = p.components
+def _adjoint_polynomials(lam, a):
+    # Kernel (see core): rows of the adjoint action of a as polynomials in
+    # its components, equal to a*e_j*conj(a) in column j.
+    l1, l2, l3 = lam
+    a0, a1, a2, a3 = a
     return [
         [a0 * a0 + l1 * l2 * a1 * a1 - l1 * l3 * a2 * a2 - l2 * l3 * a3 * a3,
          2.0 * l1 * l3 * a1 * a2 - 2.0 * l3 * a0 * a3,
@@ -111,17 +114,7 @@ def skew_of_axis(s: GVec3) -> Mat3:
     the generator appearing in the rotation-style decomposition of the
     adjoint action.
     """
-    return Mat3(_skew_rows(s.params, *s.components), s.params)
-
-
-def _skew_rows(params: ParamTriple, s1: float, s2: float, s3: float) -> list[list[float]]:
-    # Rows of the weighted skew matrix of (s1, s2, s3), shared with ad_matrix.
-    l1, l2, l3 = params.as_tuple()
-    return [
-        [0.0, -l3 * s3, l3 * s2],
-        [l2 * s3, 0.0, -l2 * s1],
-        [-l1 * s2, l1 * s1, 0.0],
-    ]
+    return Mat3(_skew_rows(s.params.as_tuple(), s.components), s.params)
 
 
 def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat3:
@@ -148,7 +141,7 @@ def ad_matrix(x: GVec3) -> Mat3:
     Built as the skew of the doubled vector: doubling is exact, so the
     entries equal 2 * skew_of_axis(x) bit for bit.
     """
-    return Mat3(_skew_rows(x.params, 2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3), x.params)
+    return Mat3(_skew_rows(x.params.as_tuple(), (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)), x.params)
 
 
 def _killing_of_form(f: float) -> float:

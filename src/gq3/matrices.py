@@ -20,7 +20,7 @@ from itertools import chain
 from operator import add, mul
 
 from .core import GQuat, ParamTriple, bilinear_f
-from .errors import DegenerateAxis
+from .errors import DegenerateAxis, NonFinite
 
 __all__ = [
     "Mat3",
@@ -118,20 +118,7 @@ def left_matrix(p: GQuat) -> Mat4:
     Additive and multiplicative in p: the map p -> left_matrix(p) is an
     injective ring homomorphism into the 4x4 real matrices.
     """
-    return Mat4(_left_rows(p.params, *p.components), p.params)
-
-
-def _left_rows(params: ParamTriple, a0: float, a1: float, a2: float,
-               a3: float) -> list[list[float]]:
-    # Rows of the left-multiplication matrix of a0 + a1*e1 + a2*e2 + a3*e3,
-    # shared with polar.polar_matrix, which passes (cos t, sin t * axis).
-    l1, l2, l3 = params.as_tuple()
-    return [
-        [a0, -l1 * l2 * a1, -l1 * l3 * a2, -l2 * l3 * a3],
-        [a1, a0, -l3 * a3, l3 * a2],
-        [a2, l2 * a3, a0, -l2 * a1],
-        [a3, -l1 * a2, l1 * a1, a0],
-    ]
+    return Mat4(_mult_rows(p.params.as_tuple(), p.components, 1), p.params)
 
 
 def right_matrix(p: GQuat) -> Mat4:
@@ -140,14 +127,29 @@ def right_matrix(p: GQuat) -> Mat4:
     Anti-multiplicative in p, and commutes with every left-multiplication
     matrix (left and right multiplications always commute).
     """
-    l1, l2, l3 = p.params.as_tuple()
-    a0, a1, a2, a3 = p.components
-    return Mat4([
-        [a0, -l1 * l2 * a1, -l1 * l3 * a2, -l2 * l3 * a3],
-        [a1, a0, l3 * a3, -l3 * a2],
-        [a2, -l2 * a3, a0, l2 * a1],
-        [a3, l1 * a2, -l1 * a1, a0],
-    ], p.params)
+    return Mat4(_mult_rows(p.params.as_tuple(), p.components, -1), p.params)
+
+
+def _skew_rows(lam, s):
+    # Kernel (see core): rows of the weighted skew S(s); S(s) @ v = core._wedge(lam, s, v).
+    l1, l2, l3 = lam
+    s1, s2, s3 = s
+    return [[0.0, -l3 * s3, l3 * s2],
+            [l2 * s3, 0.0, -l2 * s1],
+            [-l1 * s2, l1 * s1, 0.0]]
+
+
+def _mult_rows(lam, a, side):
+    # Kernel (see core): rows of q -> a*q (side 1) or q -> q*a (side -1).  Under the
+    # norm row: a0 on the diagonal plus the skew of side*(a1, a2, a3).
+    l1, l2, l3 = lam
+    a0, a1, a2, a3 = a
+    skew = _skew_rows(lam, (side * a1, side * a2, side * a3))
+    (_, s01, s02), (s10, _, s12), (s20, s21, _) = skew
+    return [[a0, -l1 * l2 * a1, -l1 * l3 * a2, -l2 * l3 * a3],
+            [a1, a0, s01, s02],
+            [a2, s10, a0, s12],
+            [a3, s20, s21, a0]]
 
 
 def base_matrices(params: ParamTriple) -> tuple[Mat4, Mat4, Mat4, Mat4]:
@@ -235,9 +237,7 @@ def eigenvalues(p: GQuat) -> tuple[EigenPair, EigenPair]:
     are a complex-conjugate pair when D > 0 and real when D <= 0.  Their
     product is the quaternion norm.
     """
-    d = bilinear_f(p, p)
-    w = cmath.sqrt(complex(-d, 0.0))
-    return (EigenPair(p.a0 + w), EigenPair(p.a0 - w))
+    return tuple(map(EigenPair, _eigen_of(p)[:2]))
 
 
 def eigenvectors(p: GQuat) -> list[EigenPair]:
@@ -246,32 +246,34 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
     Two vectors (patterns ending in (1, 0) and (0, 1)) belong to each
     eigenvalue.  The closed forms share the denominator
     lambda1*a2^2 + lambda2*a3^2; when that vanishes no formula applies and
-    DegenerateAxis is raised.
+    DegenerateAxis is raised.  NonFinite is raised when it overflows.
     """
-    l1, l2, _ = p.params.as_tuple()
-    a0, a1, a2, a3 = p.components
-    den = l1 * a2 * a2 + l2 * a3 * a3
-    den_scale = abs(l1) * a2 * a2 + abs(l2) * a3 * a3
+    t_plus, t_minus, den, heads = _eigen_of(p)
+    den_scale = abs(p.params.lambda1) * p.a2 * p.a2 + abs(p.params.lambda2) * p.a3 * p.a3
+    # First, as inf <= 1e-12*inf holds; den is finite whenever den_scale is.
+    if not math.isfinite(den_scale):
+        raise NonFinite(f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} overflows")
     if den_scale == 0.0 or abs(den) <= _DEGENERATE_REL * den_scale:
         raise DegenerateAxis(
             f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} vanishes")
+    tails = ((1.0 + 0j, 0j), (0j, 1.0 + 0j)) * 2
+    return [EigenPair(t, (n0 / den, n1 / den, *tail))
+            for t, (n0, n1), tail in zip((t_plus, t_plus, t_minus, t_minus), heads, tails)]
 
+
+def _eigen_of(p: GQuat):
+    # The eigen kernel at the root w = sqrt(-D) of p.
     w = cmath.sqrt(complex(-bilinear_f(p, p), 0.0))
-    t_plus = p.a0 + w
-    t_minus = p.a0 - w
+    return _eigen(p.params.as_tuple(), p.components, w)
 
-    v1 = ((l1 * a2 * w - l1 * l2 * a1 * a3) / den,
-          (a3 * w + l1 * a1 * a2) / den, 1.0 + 0j, 0j)
-    v2 = ((l2 * a3 * w + l1 * l2 * a1 * a2) / den,
-          -(a2 * w - l2 * a1 * a3) / den, 0j, 1.0 + 0j)
-    v3 = (-(l1 * a2 * w + l1 * l2 * a1 * a3) / den,
-          -(a3 * w - l1 * a1 * a2) / den, 1.0 + 0j, 0j)
-    v4 = (-(l2 * a3 * w - l1 * l2 * a1 * a2) / den,
-          (a2 * w + l2 * a1 * a3) / den, 0j, 1.0 + 0j)
 
-    return [
-        EigenPair(t_plus, v1),
-        EigenPair(t_plus, v2),
-        EigenPair(t_minus, v3),
-        EigenPair(t_minus, v4),
-    ]
+def _eigen(lam, a, w):
+    # Kernel (see core): for w*w = -D, the eigenvalues a0 +/- w of the left matrix
+    # of a, the denominator, and the first two numerators of each eigenvector.
+    l1, l2, _ = lam
+    a0, a1, a2, a3 = a
+    heads = ((l1 * a2 * w - l1 * l2 * a1 * a3, a3 * w + l1 * a1 * a2),
+             (l2 * a3 * w + l1 * l2 * a1 * a2, -(a2 * w - l2 * a1 * a3)),
+             (-(l1 * a2 * w + l1 * l2 * a1 * a3), -(a3 * w - l1 * a1 * a2)),
+             (-(l2 * a3 * w - l1 * l2 * a1 * a2), a2 * w + l2 * a1 * a3))
+    return a0 + w, a0 - w, l1 * a2 * a2 + l2 * a3 * a3, heads

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GQuat, GVec3, ParamTriple, _require_same_params
-from .errors import ZeroNorm
 from .lie import ad_matrix
 from .matrices import Mat3
 
@@ -107,9 +106,6 @@ def conjugation_columns(p: GQuat) -> Mat3:
     come out (numerically) zero, which is verified here as an internal sanity
     check.  Raises ZeroNorm on null p.
     """
-    n = p.norm()
-    if abs(n) <= p.zero_norm_eps():
-        raise ZeroNorm(f"quaternion {p.components} is null; conjugation undefined")
     pinv = p.inverse()
     cols = []
     for j in (1, 2, 3):
@@ -120,8 +116,7 @@ def conjugation_columns(p: GQuat) -> Mat3:
                 f"conjugated basis vector has scalar residue {r.a0}; "
                 "conjugation should preserve the pure part")
         cols.append((r.a1, r.a2, r.a3))
-    rows = [[cols[j][i] for j in range(3)] for i in range(3)]
-    return Mat3(rows, p.params)
+    return Mat3(list(zip(*cols)), p.params)
 
 
 def killing_by_trace(x: GVec3, y: GVec3) -> float:

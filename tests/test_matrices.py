@@ -11,6 +11,7 @@ from gq3 import (
     GQuat,
     Mat3,
     Mat4,
+    NonFinite,
     ParamTriple,
     base_matrices,
     char_poly,
@@ -294,6 +295,15 @@ def test_degenerate_axis_raises():
     q = GQuat(0.5, 1.0, 1.0, 1.0, mixed)  # l1*a2^2 + l2*a3^2 = 1 - 1 = 0
     with pytest.raises(DegenerateAxis):
         eigenvectors(q)
+
+
+@pytest.mark.parametrize("params", [H, ParamTriple(1.0, -1.0, 1.0)])
+def test_overflowing_eigenvector_denominator_is_non_finite(params):
+    # inf (or inf - inf) is no evidence of a vanishing denominator.
+    with pytest.raises(NonFinite):
+        eigenvectors(GQuat(1e200, 1e200, 1e200, 0.0, params))
+    with pytest.raises(NonFinite):
+        eigenvectors(GQuat(0.0, 0.0, 1e200, 1e200, params))
 
 
 # --- matrix container behavior --------------------------------------------------------------

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from gq3 import (
+    MAX_ROOT_DEGREE,
     CongruenceViolation,
     GQuat,
     GVec3,
     NoPeriod,
     NonElliptic,
+    NonFinite,
     NonUnit,
     NotUnitVector,
     ParamTriple,
@@ -359,6 +361,8 @@ def test_roots_validate_input():
         matrix_roots(GQuat(0.99999999995, 0.0, 0.0, 1e-5, split), 2)
     with pytest.raises(ValueError):
         matrix_roots(P_THIRD, 0)
+    with pytest.raises(ValueError, match="root degree"):
+        matrix_roots(P_THIRD, MAX_ROOT_DEGREE + 1)
 
 
 # --- periodicity ------------------------------------------------------------------------
@@ -432,3 +436,13 @@ def test_scaled_power_error_paths(rng):
         scaled_power_relation(P_THIRD, 4, 2)  # period 3, 4 != 2 (mod 3)
     with pytest.raises(NonElliptic):
         scaled_power_relation(GQuat.scalar(2.0, H), 3, 1)
+    with pytest.raises(NonFinite):
+        scaled_power_relation(P_THIRD.scale(2.0), 3001, 1)  # 2**3000 overflows
+
+
+def test_power_overflow_is_non_finite():
+    p = GQuat(2.0, 1.0, 0.0, 0.0, H)
+    with pytest.raises(NonFinite):
+        demoivre_pow(p, 100000)
+    # The modulus power underflows to zero without error.
+    assert all(c == 0.0 for c in demoivre_pow(p, -100000).components)
