@@ -6,8 +6,8 @@ an operation and passes operands as comma-separated literals::
     gq3 --family hamilton mul "1,0,0,0" "0,1,0,0"
     gq3 --params 1,1,1 pow "-0.5,0.5,0.5,0.5" --n 21
 
-Batch usage reads newline-delimited JSON requests from a file and writes one
-response line per request, in order, without stopping at failures::
+Batch usage reads newline-delimited JSON requests from a file (``-``: stdin)
+and writes one response line per request, in order, without stopping at failures::
 
     gq3 batch requests.ndjson
 
@@ -18,9 +18,11 @@ stdout carries only JSON; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import cmath
+import contextlib
 import json
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -64,8 +66,31 @@ def _parse_numbers(text: str, count: int, what: str) -> list[float]:
         raise RequestError(f"{what} has a non-numeric component: {text!r}") from None
 
 
+_TRIPLES: dict[str | bytes, ParamTriple] = {}  # see parse_params
+_TRIPLES_MAX = 64
+_PACK3 = struct.Struct("3d")
+
+
 def parse_params(value: Any) -> ParamTriple:
-    """Accept [l1, l2, l3], "l1,l2,l3", a family name, or "2param:l,m"."""
+    """Accept [l1, l2, l3], "l1,l2,l3", a family name, or "2param:l,m".
+
+    Successful parses are kept in ``_TRIPLES``, cleared when it holds ``_TRIPLES_MAX``, so
+    a batch over a few algebras builds each triple once.  A string keys itself, a list the
+    bytes of its three doubles, which tell -0.0 from 0.0 (equal, but printed differently).
+    """
+    try:
+        key = value if isinstance(value, str) else _PACK3.pack(*value)
+    except (TypeError, struct.error):
+        return _parse_params(value)
+    params = _TRIPLES.get(key)
+    if params is None:
+        if len(_TRIPLES) >= _TRIPLES_MAX:
+            _TRIPLES.clear()
+        params = _TRIPLES[key] = _parse_params(value)
+    return params
+
+
+def _parse_params(value: Any) -> ParamTriple:
     if isinstance(value, (list, tuple)):
         if len(value) != 3:
             raise RequestError(f"params list needs 3 entries, got {value!r}")
@@ -91,23 +116,6 @@ def parse_params(value: Any) -> ParamTriple:
     raise RequestError(f"cannot interpret params {value!r}")
 
 
-def _split_operand_params(value: Any, params: ParamTriple) -> tuple[Any, ParamTriple]:
-    # An operand may carry its own triple: "0,1,0,0@2,3,5" on the command
-    # line, {"components": ..., "params": ...} in batch requests.  Mixing
-    # triples is then reported by the library as a domain error.
-    if isinstance(value, dict):
-        if set(value) - {"components", "params"}:
-            raise RequestError(f"operand object allows keys components/params, got {value!r}")
-        if "components" not in value:
-            raise RequestError(f"operand object needs 'components': {value!r}")
-        own = parse_params(value["params"]) if "params" in value else params
-        return value["components"], own
-    if isinstance(value, str) and "@" in value:
-        literal, _, suffix = value.partition("@")
-        return literal, parse_params(suffix)
-    return value, params
-
-
 # Operand kind -> (component count, value type, name used in messages).
 _SHAPES = {"quat": (4, GQuat, "quaternion"), "vec": (3, GVec3, "vector")}
 
@@ -117,12 +125,25 @@ def _coerce(kind: str, value: Any, params: ParamTriple):
     if kind == "scalar":
         return _coerce_scalar(value)
     size, cls, what = _SHAPES[kind]
-    value, params = _split_operand_params(value, params)
+    # An operand may carry its own triple: "0,1,0,0@2,3,5" on the command
+    # line, {"components": ..., "params": ...} in batch requests.  Mixing
+    # triples is then reported by the library as a domain error.
+    if isinstance(value, dict):
+        if set(value) - {"components", "params"}:
+            raise RequestError(f"operand object allows keys components/params, got {value!r}")
+        if "components" not in value:
+            raise RequestError(f"operand object needs 'components': {value!r}")
+        if "params" in value:
+            params = parse_params(value["params"])
+        value = value["components"]
+    elif isinstance(value, str) and "@" in value:
+        value, _, suffix = value.partition("@")
+        params = parse_params(suffix)
     if isinstance(value, str):
-        return cls.from_components(_parse_numbers(value, size, what), params)
+        return cls(*_parse_numbers(value, size, what), params)
     if isinstance(value, (list, tuple)) and len(value) == size:
         try:
-            return cls.from_components([float(v) for v in value], params)
+            return cls(*map(float, value), params)
         except (TypeError, ValueError) as exc:
             raise RequestError(f"bad {what} {value!r}: {exc}") from None
     raise RequestError(f"expected a {what} ({size} components), got {value!r}")
@@ -381,26 +402,28 @@ def execute_request(request: dict) -> tuple[dict, int]:
     return {"status": "ok", "result": result}, EXIT_OK
 
 
+# One C encoder for every line: json.dumps with arguments builds one per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
+
 def _emit(response: dict, out) -> None:
-    # json.dumps runs the C encoder; json.dump would run the pure-Python one
-    # and write once per token.  The bytes are the same.
     try:
-        text = json.dumps(response, separators=(",", ":"), allow_nan=False)
+        text = _ENCODER.encode(response)
     except ValueError as exc:
         # A non-finite float that no check above caught: still one valid line.
-        text = json.dumps(_error("non_finite", exc), separators=(",", ":"))
+        text = _ENCODER.encode(_error("non_finite", exc))
     out.write(text + "\n")
 
 
-def _run_batch(path: str, out, err) -> int:
+def _run_batch(path: str, inp, out, err) -> int:
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = contextlib.nullcontext(inp) if path == "-" else open(path, "r", encoding="utf-8")
     except OSError as exc:
         print(f"gq3: cannot read batch file: {exc}", file=err)
         return EXIT_USAGE
 
-    with handle:
-        for line in handle:
+    with handle as lines:
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -417,7 +440,7 @@ def _run_batch(path: str, out, err) -> int:
 
 _USAGE = """\
 usage: gq3 [--params L1,L2,L3 | --family NAME] OP [OPERANDS...] [--n N] [--s S] [--tol TOL]
-       gq3 batch FILE
+       gq3 batch FILE        (FILE "-" reads standard input)
 
 Operands are comma-separated literals: quaternions "a0,a1,a2,a3", vectors
 "a1,a2,a3", plain numbers for scalars.  Families: hamilton, split, semi,
@@ -473,7 +496,7 @@ def _literal(text: str | None, kind: type) -> Any:
         return text
 
 
-def main(argv: Sequence[str] | None = None, *, stdout=None, stderr=None) -> int:
+def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     if argv is None:
@@ -498,7 +521,7 @@ def main(argv: Sequence[str] | None = None, *, stdout=None, stderr=None) -> int:
         if len(ns["operands"]) != 1:
             print("gq3: batch needs exactly one file path", file=err)
             return EXIT_USAGE
-        return _run_batch(ns["operands"][0], out, err)
+        return _run_batch(ns["operands"][0], stdin if stdin is not None else sys.stdin, out, err)
 
     if ns["op"] not in OPS:
         print(f"gq3: unknown operation {ns['op']!r}; known: {', '.join(sorted(OPS))}", file=err)

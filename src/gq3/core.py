@@ -41,17 +41,20 @@ __all__ = [
 _ZERO_NORM_REL = 1e-12
 
 
-def _store_finite(value, names: tuple[str, ...], prefix: str) -> None:
-    """Store each named field of a frozen value as a float; reject NaN and +-inf.
+def _check_finite(names: tuple[str, ...], values: tuple, prefix: str) -> None:
+    """Reject NaN and +-inf among ``values``, the new values of the fields ``names``.
 
-    The construction check of ``ParamTriple``, ``GQuat`` and ``GVec3``;
-    ``prefix`` goes before the field name in the message.
+    One test covers all: ``math.fsum`` is finite only if every value is.  Only when
+    it fails are the values checked one by one, to name the first bad field.
     """
-    for name in names:
-        v = getattr(value, name)
+    try:
+        if math.isfinite(math.fsum(values)):
+            return
+    except (TypeError, ValueError, OverflowError):  # not a number, inf - inf, overflow
+        pass
+    for name, v in zip(names, values):
         if not math.isfinite(v):
             raise ValueError(f"{prefix}{name} must be finite, got {v!r}")
-        object.__setattr__(value, name, float(v))
 
 
 # --- kernels: each closed form once, as plain arithmetic over lam = (l1, l2, l3) and
@@ -98,21 +101,12 @@ class ParamTriple:
     lambda3: float
 
     def __post_init__(self):
-        _store_finite(self, ("lambda1", "lambda2", "lambda3"), "")
-
-    # Pairwise products; these are the coefficients that appear in the
-    # product expansion, the norm and the metric.
-    @property
-    def l12(self) -> float:
-        return self.lambda1 * self.lambda2
-
-    @property
-    def l13(self) -> float:
-        return self.lambda1 * self.lambda3
-
-    @property
-    def l23(self) -> float:
-        return self.lambda2 * self.lambda3
+        lam = self.lambda1, self.lambda2, self.lambda3
+        _check_finite(("lambda1", "lambda2", "lambda3"), lam, "")
+        l1, l2, l3 = lam = tuple(map(float, lam))
+        # The kernels take _lam; the pairwise products l12, l13, l23 weigh product, norm, metric.
+        self.__dict__.update(lambda1=l1, lambda2=l2, lambda3=l3, _lam=lam,
+                             l12=l1 * l2, l13=l1 * l3, l23=l2 * l3)
 
     @property
     def is_positive(self) -> bool:
@@ -145,7 +139,7 @@ class ParamTriple:
         return cls(1.0, 0.0, 0.0)
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.lambda1, self.lambda2, self.lambda3)
+        return self._lam
 
 
 _FAMILIES = {
@@ -184,7 +178,9 @@ def _require_same_params(a: ParamTriple, b: ParamTriple) -> None:
         raise ParamMismatch(f"parameter triples differ: {a.as_tuple()} vs {b.as_tuple()}")
 
 
-@dataclass(frozen=True)
+# GQuat and GVec3 write __dict__ in their own __init__, half the cost of a frozen dataclass
+# __init__ (object.__setattr__ per field); __post_init__ runs once, checks, stores floats.
+@dataclass(frozen=True, init=False)
 class GQuat:
     """A generalized quaternion a0 + a1*e1 + a2*e2 + a3*e3 over a fixed triple.
 
@@ -198,8 +194,14 @@ class GQuat:
     a3: float
     params: ParamTriple
 
-    def __post_init__(self):
-        _store_finite(self, ("a0", "a1", "a2", "a3"), "component ")
+    def __init__(self, a0: float, a1: float, a2: float, a3: float, params: ParamTriple):
+        self.__dict__["params"] = params
+        self.__post_init__(a0, a1, a2, a3)
+
+    def __post_init__(self, a0, a1, a2, a3):
+        _check_finite(("a0", "a1", "a2", "a3"), (a0, a1, a2, a3), "component ")
+        d = self.__dict__
+        d["a0"], d["a1"], d["a2"], d["a3"] = float(a0), float(a1), float(a2), float(a3)
 
     # --- constructors ------------------------------------------------------
 
@@ -259,8 +261,8 @@ class GQuat:
     def __mul__(self, other):
         if isinstance(other, GQuat):
             _require_same_params(self.params, other.params)
-            return GQuat(*_product(self.params.as_tuple(), self.components, other.components),
-                         self.params)
+            return GQuat(*_product(self.params._lam, (self.a0, self.a1, self.a2, self.a3),
+                                   (other.a0, other.a1, other.a2, other.a3)), self.params)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
@@ -320,14 +322,15 @@ class GQuat:
         norm when both arguments agree.
         """
         _require_same_params(self.params, other.params)
-        return _dot(self.params.as_tuple(), self.components, other.components)
+        return _dot(self.params._lam, (self.a0, self.a1, self.a2, self.a3),
+                    (other.a0, other.a1, other.a2, other.a3))
 
     def __repr__(self) -> str:
         return (f"GQuat({self.a0:g}, {self.a1:g}, {self.a2:g}, {self.a3:g}; "
                 f"params={self.params.as_tuple()})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GVec3:
     """A pure generalized quaternion (zero scalar part), i.e. a tangent vector."""
 
@@ -336,8 +339,14 @@ class GVec3:
     a3: float
     params: ParamTriple
 
-    def __post_init__(self):
-        _store_finite(self, ("a1", "a2", "a3"), "component ")
+    def __init__(self, a1: float, a2: float, a3: float, params: ParamTriple):
+        self.__dict__["params"] = params
+        self.__post_init__(a1, a2, a3)
+
+    def __post_init__(self, a1, a2, a3):
+        _check_finite(("a1", "a2", "a3"), (a1, a2, a3), "component ")
+        d = self.__dict__
+        d["a1"], d["a2"], d["a3"] = float(a1), float(a2), float(a3)
 
     @classmethod
     def from_components(cls, comps: Sequence[float], params: ParamTriple) -> "GVec3":
@@ -401,7 +410,7 @@ def bilinear_f(u: GVec3 | GQuat, v: GVec3 | GQuat) -> float:
     axis discriminant D of ``p``.
     """
     _require_same_params(u.params, v.params)
-    return _bilinear(u.params.as_tuple(), (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3))
+    return _bilinear(u.params._lam, (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3))
 
 
 def wedge(u: GVec3, v: GVec3) -> GVec3:
@@ -411,7 +420,7 @@ def wedge(u: GVec3, v: GVec3) -> GVec3:
     equal to the antisymmetric part of the algebra product of ``u`` and ``v``.
     """
     _require_same_params(u.params, v.params)
-    return GVec3(*_wedge(u.params.as_tuple(), u.components, v.components), u.params)
+    return GVec3(*_wedge(u.params._lam, (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3)), u.params)
 
 
 def wedge_triple_left(p: GVec3, q: GVec3, r: GVec3) -> GVec3:

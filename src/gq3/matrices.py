@@ -235,7 +235,7 @@ def eigenvalues(p: GQuat) -> tuple[EigenPair, EigenPair]:
 
     D = f(p, p) is the weighted sum of squared vector components; the values
     are a complex-conjugate pair when D > 0 and real when D <= 0.  Their
-    product is the quaternion norm.
+    product is the quaternion norm.  Raises NonFinite when D overflows.
     """
     return tuple(map(EigenPair, _eigen_of(p)[:2]))
 
@@ -246,7 +246,7 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
     Two vectors (patterns ending in (1, 0) and (0, 1)) belong to each
     eigenvalue.  The closed forms share the denominator
     lambda1*a2^2 + lambda2*a3^2; when that vanishes no formula applies and
-    DegenerateAxis is raised.  NonFinite is raised when it overflows.
+    DegenerateAxis is raised.  NonFinite is raised when it, D or an entry overflows.
     """
     t_plus, t_minus, den, heads = _eigen_of(p)
     den_scale = abs(p.params.lambda1) * p.a2 * p.a2 + abs(p.params.lambda2) * p.a3 * p.a3
@@ -256,15 +256,20 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
     if den_scale == 0.0 or abs(den) <= _DEGENERATE_REL * den_scale:
         raise DegenerateAxis(
             f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} vanishes")
+    heads = [(n0 / den, n1 / den) for n0, n1 in heads]
+    if not all(map(cmath.isfinite, chain.from_iterable(heads))):
+        raise NonFinite(f"eigenvector entries overflow over the denominator {den}")
     tails = ((1.0 + 0j, 0j), (0j, 1.0 + 0j)) * 2
-    return [EigenPair(t, (n0 / den, n1 / den, *tail))
-            for t, (n0, n1), tail in zip((t_plus, t_plus, t_minus, t_minus), heads, tails)]
+    return [EigenPair(t, (*head, *tail))
+            for t, head, tail in zip((t_plus, t_plus, t_minus, t_minus), heads, tails)]
 
 
 def _eigen_of(p: GQuat):
-    # The eigen kernel at the root w = sqrt(-D) of p.
-    w = cmath.sqrt(complex(-bilinear_f(p, p), 0.0))
-    return _eigen(p.params.as_tuple(), p.components, w)
+    # The eigen kernel at the root w = sqrt(-D) of p.  A finite D keeps a0 +/- w finite.
+    d = bilinear_f(p, p)
+    if not math.isfinite(d):
+        raise NonFinite(f"axis discriminant D = {d} is not finite")
+    return _eigen(p.params.as_tuple(), p.components, cmath.sqrt(complex(-d, 0.0)))
 
 
 def _eigen(lam, a, w):

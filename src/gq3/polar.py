@@ -67,12 +67,15 @@ class PolarForm:
     params: ParamTriple
 
     def compose(self) -> GQuat:
-        """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis."""
+        """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis; NonFinite on overflow."""
         c = self.modulus * math.cos(self.theta)
         if self.axis is None:
             return GQuat.scalar(c, self.params)
         s = self.modulus * math.sin(self.theta)
-        return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
+        try:
+            return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
+        except ValueError as exc:  # GQuat's finiteness check: a product overflowed
+            raise NonFinite(f"composed quaternion overflows: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from gq3.cli import OPS, _emit, execute_request, main
+from gq3 import cli
+from gq3.cli import OPS, RequestError, _emit, execute_request, main, parse_params
 from gq3.polar import MAX_ROOT_DEGREE
 
 
@@ -376,6 +377,19 @@ def test_batch_unreadable_file():
     assert err
 
 
+def test_batch_reads_standard_input(tmp_path):
+    text = "".join(json.dumps(r) + "\n" for r in BATCH_ERROR_REQUESTS) + "not json\n\n"
+    path = tmp_path / "requests.ndjson"
+    path.write_text(text)
+    _, from_file, _ = run(["batch", str(path)])
+    stdin, out, err = io.StringIO(text), io.StringIO(), io.StringIO()
+    code = main(["batch", "-"], stdin=stdin, stdout=out, stderr=err)
+    assert code == 0
+    assert out.getvalue() == from_file
+    assert len(from_file.splitlines()) == len(BATCH_ERROR_REQUESTS) + 1
+    assert not stdin.closed
+
+
 def test_batch_rejects_global_params(tmp_path):
     path = tmp_path / "x.ndjson"
     path.write_text("")
@@ -501,3 +515,58 @@ def test_registry_is_well_formed():
         assert name == name.lower()
         assert op.summary
         assert all(kind in ("quat", "vec", "scalar") for kind in op.operands)
+
+
+# --- interned parameter triples ----------------------------------------------------------------
+
+# Raw params that parse to equal triples, apart from the sign of a zero, and forms that
+# parse to the same triple from different text.
+INTERN_PARAMS = [[0.0, 1, 1], [-0.0, 1, 1], [1, 1, 1], [True, 1, 1], "hamilton", " Hamilton ",
+                 "2param:1,2", "2,3,5"]
+
+
+def test_batch_with_interned_triples_matches_fresh_parses(tmp_path):
+    requests = []
+    for params in INTERN_PARAMS * 2:
+        # with lambda1 = -0.0 every term is -0.0, so the sum keeps the sign
+        requests.append({"params": params, "op": "bilinear", "operands": [[1, 1, -0.0], [1, 1, 1]]})
+        requests.append({"params": params, "op": "mul", "operands": [[1, 2, 3, 4], [0.5, -1, 0, 2]]})
+    # param_mismatch messages print both triples, signed zeros included
+    requests.append({"params": [0.0, 1, 1], "op": "mul",
+                     "operands": [[1, 0, 0, 0], {"components": [0, 1, 0, 0], "params": [-0.0, 2, 1]}]})
+    requests.append({"params": [-0.0, 1, 1], "op": "add", "operands": [[1, 0, 0, 0], "0,1,0,0@0,2,1"]})
+    path = tmp_path / "interned.ndjson"
+    path.write_text("".join(json.dumps(r) + "\n" for r in requests))
+
+    code, out, err = run(["batch", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(requests)
+    for request, line in zip(requests, lines):
+        cli._TRIPLES.clear()
+        response, _ = execute_request(request)
+        assert line == json.dumps(response, separators=(",", ":"))
+    assert json.loads(lines[0])["result"]["scalar"] == 0.0
+    assert lines[2] == '{"status":"ok","result":{"scalar":-0.0}}'
+    assert [json.loads(line).get("code") for line in lines[-2:]] == ["param_mismatch"] * 2
+    assert "(-0.0, 2.0, 1.0)" in lines[-2] and "(-0.0, 1.0, 1.0)" in lines[-1]
+
+
+def test_interned_triples_stay_within_their_bound():
+    cli._TRIPLES.clear()
+    for i in range(3 * cli._TRIPLES_MAX):
+        assert parse_params([1, 2, i]).as_tuple() == (1.0, 2.0, float(i))
+        assert len(cli._TRIPLES) <= cli._TRIPLES_MAX
+    assert parse_params([1, 2, i]) is parse_params([1.0, 2.0, float(i)])
+
+
+def test_failed_params_parse_is_not_interned():
+    cli._TRIPLES.clear()
+    for bad in ([1, 1, math.nan], [1, 1, 10 ** 400], "nosuch", "1,2", "2param:1", [1, 1]):
+        messages = set()
+        for _ in range(2):
+            with pytest.raises((RequestError, OverflowError)) as info:
+                parse_params(bad)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+    assert cli._TRIPLES == {}

@@ -306,6 +306,19 @@ def test_overflowing_eigenvector_denominator_is_non_finite(params):
         eigenvectors(GQuat(0.0, 0.0, 1e200, 1e200, params))
 
 
+@pytest.mark.parametrize("params", [H, ParamTriple(1.0, -1.0, 1.0)])
+def test_overflowing_eigen_data_is_non_finite(params):
+    # D overflows (Hamilton) or is inf - inf (split sign): the roots a0 +/- sqrt(-D)
+    # would be +-infj or nan.
+    with pytest.raises(NonFinite):
+        eigenvalues(GQuat(0.0, 1e200, 1e200, 0.0, params))
+    with pytest.raises(NonFinite):
+        eigenvectors(GQuat(0.0, 1e200, 1e-150, 1e-150, params))
+    # D and the denominator 1e-320 are finite, the quotients are not.
+    with pytest.raises(NonFinite):
+        eigenvectors(GQuat(0.0, 1e150, 1e-160, 0.0, params))
+
+
 # --- matrix container behavior --------------------------------------------------------------
 
 def test_mat4_validates_shape_and_finiteness():

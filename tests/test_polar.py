@@ -446,3 +446,11 @@ def test_power_overflow_is_non_finite():
         demoivre_pow(p, 100000)
     # The modulus power underflows to zero without error.
     assert all(c == 0.0 for c in demoivre_pow(p, -100000).components)
+
+
+def test_composed_power_overflow_is_non_finite():
+    # modulus**n is about 1e307 and finite; the unit axis has component 100, so
+    # the composed quaternion overflows.
+    p = GQuat(1.0, 1.0, 0.0, 0.0, ParamTriple(0.01, 0.01, 0.01))
+    with pytest.raises(NonFinite):
+        demoivre_pow(p, 14138600)
