@@ -80,7 +80,7 @@ def parse_params(value: Any) -> ParamTriple:
     """
     try:
         key = value if isinstance(value, str) else _PACK3.pack(*value)
-    except (TypeError, struct.error):
+    except (TypeError, OverflowError, struct.error):
         return _parse_params(value)
     params = _TRIPLES.get(key)
     if params is None:
@@ -96,7 +96,7 @@ def _parse_params(value: Any) -> ParamTriple:
             raise RequestError(f"params list needs 3 entries, got {value!r}")
         try:
             return ParamTriple(*[float(v) for v in value])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RequestError(f"bad params {value!r}: {exc}") from None
     if isinstance(value, str):
         text = value.strip()

@@ -44,8 +44,8 @@ _ZERO_NORM_REL = 1e-12
 def _check_finite(names: tuple[str, ...], values: tuple, prefix: str) -> None:
     """Reject NaN and +-inf among ``values``, the new values of the fields ``names``.
 
-    One test covers all: ``math.fsum`` is finite only if every value is.  Only when
-    it fails are the values checked one by one, to name the first bad field.
+    ``math.fsum`` converts each value to a double as ``isfinite`` does and is finite only if
+    every value is; only when it is not are the values checked one by one, to name the first.
     """
     try:
         if math.isfinite(math.fsum(values)):
