@@ -40,7 +40,7 @@ from .core import (
     wedge_triple_left,
     wedge_triple_right,
 )
-from .errors import AlgebraError
+from .errors import AlgebraError, NonFinite
 
 __all__ = ["main", "console_main", "execute_request", "OPS"]
 
@@ -206,17 +206,16 @@ def _as_is(x):
 
 
 # Quaternion, vector and matrix results were checked for finite entries when
-# they were built; these two check the floats no constructor saw.  Their
-# ValueError is answered as non_finite.
+# they were built; these two check the floats no constructor saw.
 def _finite(x: float) -> float:
     if not math.isfinite(x):
-        raise ValueError(f"result {x} is not finite")
+        raise NonFinite(f"result {x} is not finite")
     return x
 
 
 def _complex(z: complex) -> list[float]:
     if not cmath.isfinite(z):
-        raise ValueError(f"result {z} is not finite")
+        raise NonFinite(f"result {z} is not finite")
     return [z.real, z.imag]
 
 
@@ -395,10 +394,6 @@ def execute_request(request: dict) -> tuple[dict, int]:
         result = {op.tag: _ENCODE[op.tag](value)}
     except AlgebraError as exc:
         return _error(exc.code, exc), EXIT_DOMAIN_ERROR
-    except (ValueError, OverflowError) as exc:
-        # finite operands whose result left double range (construction and
-        # encoding reject non-finite values); report instead of crashing
-        return _error("non_finite", exc), EXIT_DOMAIN_ERROR
     return {"status": "ok", "result": result}, EXIT_OK
 
 

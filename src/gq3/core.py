@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParamMismatch, ZeroNorm
+from .errors import NonFinite, ParamMismatch, ZeroNorm
 
 __all__ = [
     "ParamTriple",
@@ -37,12 +37,8 @@ __all__ = [
     "wedge_triple_right",
 ]
 
-# Relative scale for treating an indefinite norm as exactly zero.
-_ZERO_NORM_REL = 1e-12
-
-
 def _check_finite(names: tuple[str, ...], values: tuple, prefix: str) -> None:
-    """Reject NaN and +-inf among ``values``, the new values of the fields ``names``.
+    """Raise NonFinite on NaN or +-inf among ``values``, the new values of the fields ``names``.
 
     ``math.fsum`` converts each value to a double as ``isfinite`` does and is finite only if
     every value is; only when it is not are the values checked one by one, to name the first.
@@ -54,7 +50,18 @@ def _check_finite(names: tuple[str, ...], values: tuple, prefix: str) -> None:
         pass
     for name, v in zip(names, values):
         if not math.isfinite(v):
-            raise ValueError(f"{prefix}{name} must be finite, got {v!r}")
+            raise NonFinite(f"{prefix}{name} must be finite, got {v!r}")
+
+
+def _vanishes(value: float, scale: float, what: str) -> bool:
+    """The null test: ``value``, a signed sum, against ``scale``, the same sum of |terms|.
+
+    Relative, so scaling the input by a power of two does not change the answer while the
+    terms and ``1e-12 * scale`` are normal doubles; NonFinite when ``scale`` overflowed.
+    """
+    if not math.isfinite(scale):
+        raise NonFinite(f"{what} overflows")
+    return abs(value) <= 1e-12 * scale
 
 
 # --- kernels: each closed form once, as plain arithmetic over lam = (l1, l2, l3) and
@@ -287,26 +294,16 @@ class GQuat:
         """
         return self.dot(self)
 
-    def zero_norm_eps(self) -> float:
-        """Scale-aware absolute threshold below which the norm counts as zero.
-
-        The form is indefinite, so cancellation can leave a tiny residue on a
-        genuinely null quaternion; the threshold grows with the squared
-        component magnitudes and the largest parameter product.
-        """
-        p = self.params
-        mag2 = (self.a0 * self.a0 + self.a1 * self.a1
-                + self.a2 * self.a2 + self.a3 * self.a3)
-        wmax = max(1.0, abs(p.l12), abs(p.l13), abs(p.l23))
-        return _ZERO_NORM_REL * (1.0 + mag2 * wmax)
-
-    def is_null(self) -> bool:
-        return abs(self.norm()) <= self.zero_norm_eps()
+    def _null_norm(self) -> tuple[float, bool]:
+        """The norm, and whether it vanishes beside the sum of its terms' sizes (``_vanishes``)."""
+        lam, a = self.params._lam, (self.a0, self.a1, self.a2, self.a3)
+        n = _dot(lam, a, a)
+        return n, _vanishes(n, _dot(tuple(map(abs, lam)), a, a), "norm")
 
     def _nonnull_norm(self) -> float:
-        """The norm; raises ZeroNorm when it is zero within ``zero_norm_eps``."""
-        n = self.norm()
-        if abs(n) <= self.zero_norm_eps():
+        """The norm; raises ZeroNorm when it vanishes, NonFinite when its terms overflow."""
+        n, null = self._null_norm()
+        if null:
             raise ZeroNorm(f"quaternion {self.components} has norm {n}, not invertible")
         return n
 

@@ -32,7 +32,7 @@ class ParamMismatch(AlgebraError):
 
 
 class ZeroNorm(AlgebraError):
-    """The quaternion is null (norm zero within the scale-aware threshold)."""
+    """The quaternion is null: |N(p)| <= 1e-12 times the sum of the sizes of N(p)'s terms."""
 
     code = "zero_norm"
 
@@ -79,7 +79,7 @@ class CongruenceViolation(AlgebraError):
     code = "congruence_violation"
 
 
-class NonFinite(AlgebraError):
-    """A result or intermediate value left the range of finite floats."""
+class NonFinite(AlgebraError, ValueError):
+    """A value left the range of finite floats; a ValueError too, as a bad argument is."""
 
     code = "non_finite"

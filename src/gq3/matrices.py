@@ -19,7 +19,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, mul
 
-from .core import GQuat, ParamTriple, bilinear_f
+from .core import GQuat, ParamTriple, _vanishes, bilinear_f
 from .errors import DegenerateAxis, NonFinite
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
     "eigenvalues",
     "eigenvectors",
 ]
-
-# Relative threshold under which the eigenvector denominator counts as zero.
-_DEGENERATE_REL = 1e-12
-
 
 class _TaggedMatrix(tuple):
     """Read-only real square matrix that remembers the parameter triple it came from.
@@ -56,7 +52,7 @@ class _TaggedMatrix(tuple):
     def __new__(cls, data, params: ParamTriple | None = None):
         rows = _float_rows(data, cls.shape[0], cls.__name__)
         if not all(map(math.isfinite, chain.from_iterable(rows))):
-            raise ValueError(f"{cls.__name__} entries must be finite")
+            raise NonFinite(f"{cls.__name__} entries must be finite")
         obj = tuple.__new__(cls, rows)
         obj.params = params
         return obj
@@ -250,10 +246,7 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
     """
     t_plus, t_minus, den, heads = _eigen_of(p)
     den_scale = abs(p.params.lambda1) * p.a2 * p.a2 + abs(p.params.lambda2) * p.a3 * p.a3
-    # First, as inf <= 1e-12*inf holds; den is finite whenever den_scale is.
-    if not math.isfinite(den_scale):
-        raise NonFinite(f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} overflows")
-    if den_scale == 0.0 or abs(den) <= _DEGENERATE_REL * den_scale:
+    if _vanishes(den, den_scale, "eigenvector denominator lambda1*a2^2 + lambda2*a3^2"):
         raise DegenerateAxis(
             f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} vanishes")
     heads = [(n0 / den, n1 / den) for n0, n1 in heads]

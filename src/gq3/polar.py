@@ -72,10 +72,7 @@ class PolarForm:
         if self.axis is None:
             return GQuat.scalar(c, self.params)
         s = self.modulus * math.sin(self.theta)
-        try:
-            return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
-        except ValueError as exc:  # GQuat's finiteness check: a product overflowed
-            raise NonFinite(f"composed quaternion overflows: {exc}") from None
+        return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
 
 
 @dataclass(frozen=True)
@@ -91,17 +88,18 @@ def to_polar(p: GQuat) -> PolarForm:
 
     theta = atan2(sqrt(D), a0) in [0, pi]; axis = vector part / sqrt(D).
     Pure scalars get theta 0 or pi with axis None instead of a fabricated
-    axis.  Raises ZeroNorm when the norm is not positive and NonElliptic when
-    D <= 0 for a non-scalar.
+    axis; only the zero scalar has no polar form.  Raises ZeroNorm when the
+    norm is not positive (or vanishes, as in ``GQuat.inverse``), NonFinite
+    when its terms overflow and NonElliptic when D <= 0 for a non-scalar.
     """
     if p.a1 == 0.0 and p.a2 == 0.0 and p.a3 == 0.0:
-        if abs(p.a0) <= math.sqrt(p.zero_norm_eps()):
+        if p.a0 == 0.0:
             raise ZeroNorm("zero quaternion has no polar form")
         theta = 0.0 if p.a0 > 0 else math.pi
         return PolarForm(abs(p.a0), theta, None, p.params)
 
-    n = p.norm()
-    if n <= p.zero_norm_eps():
+    n, null = p._null_norm()
+    if null or n < 0.0:
         raise ZeroNorm(f"norm {n} is not positive; no real modulus exists")
     d = bilinear_f(p, p)
     if d <= 0.0:
@@ -118,11 +116,12 @@ def demoivre_pow(p: GQuat, n: int) -> GQuat:
 
     Works for negative n as well (cosine is even, sine odd, and the modulus
     is positive).  Requires an elliptic input; pure scalars are rejected.
-    Raises NonFinite when modulus^n overflows.
+    Raises NonFinite when modulus^n, n*theta or a component overflows.
     """
     _require_int(n)
     form = _axis_polar(p)
-    return PolarForm(_power(form.modulus, n), n * form.theta, form.axis, p.params).compose()
+    return PolarForm(_power(form.modulus, n), _angle(n, form.theta), form.axis,
+                     p.params).compose()
 
 
 def polar_matrix(axis: GVec3, theta: float) -> Mat4:
@@ -147,6 +146,17 @@ def _power(modulus: float, n: int) -> float:
         return modulus ** n
     except OverflowError:  # float ** int raises where the power leaves float range
         raise NonFinite(f"modulus {modulus} to the power {n} overflows") from None
+
+
+def _angle(n: int, theta: float) -> float:
+    # n*theta, the angle of the nth power; cos and sin are defined only where it is finite.
+    try:
+        angle = n * theta
+    except OverflowError:  # n too large for a float
+        angle = math.inf
+    if not math.isfinite(angle):
+        raise NonFinite(f"angle n*theta overflows for theta = {theta}")  # n: maybe 1000s of digits
+    return angle
 
 
 def _check_root_degree(n: int) -> None:
@@ -194,10 +204,12 @@ def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
 def _period(theta: float, period_rel_tol: float) -> int:
     """The integer m >= 2 equal to 2*pi/theta within relative tolerance.
 
-    Raises NoPeriod when there is none.
+    Raises NoPeriod when there is none, NonFinite when 2*pi/theta overflows.
     """
     _check_tolerance(period_rel_tol, "period_rel_tol")
-    ratio = 2.0 * math.pi / theta
+    ratio = 2.0 * math.pi / theta  # theta > 0, as D > 0 and a0 * a0 is finite
+    if not math.isfinite(ratio):
+        raise NonFinite(f"2*pi/theta overflows for theta = {theta}")
     m = round(ratio)
     if not (m >= 2 and abs(ratio - m) < period_rel_tol * ratio):
         raise NoPeriod(f"2*pi/theta = {ratio} is not an integer >= 2")
@@ -209,11 +221,11 @@ def matrix_pow(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> Mat4:
 
     Computed as the polar matrix at angle n*theta (negative n included via
     the even/odd symmetry of cosine and sine), never by repeated numeric
-    multiplication or inversion.
+    multiplication or inversion.  Raises NonFinite when n*theta overflows.
     """
     _require_int(n)
     form = _unit_polar(p, unit_tol)
-    return polar_matrix(form.axis, n * form.theta)
+    return polar_matrix(form.axis, _angle(n, form.theta))
 
 
 def euler_exp(v: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> GQuat:

@@ -8,8 +8,10 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gq3 import cli
+from gq3 import cli, errors
 from gq3.cli import OPS, RequestError, _emit, execute_request, main, parse_params
 from gq3.polar import MAX_ROOT_DEGREE
 
@@ -287,11 +289,73 @@ def _strict_json(text: str):
     ("eigenvalues", ["1e200,1e200,0,0"]),
     ("char-poly", ["1e200,0,0,0"]),
     ("killing", ["1e200,0,0", "1e200,0,0"]),
+    ("inverse", ["1e200,0,0,0"]),  # the norm's terms overflow: no evidence of a null input
+    ("adjoint", ["1e200,0,0,0"]),
+    ("polar", ["1e200,1e200,0,0"]),
 ])
 def test_overflowing_number_results_are_non_finite_errors(op, operands):
     code, out, err = run(["--params", "1,1,1", op, *operands])
     assert code == 1
     assert _strict_json(out)["code"] == "non_finite"
+
+
+def _readme_stable_codes() -> set[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"Stable codes:(.*?)\.\s", text, re.S).group(1)
+    return set(re.findall(r"`([a-z_]+)`", listing))
+
+
+STABLE_CODES = _readme_stable_codes()
+
+
+def test_readme_stable_codes_are_the_error_codes():
+    classes = [getattr(errors, name) for name in errors.__all__]
+    codes = {cls.code for cls in classes if cls is not errors.AlgebraError}
+    assert STABLE_CODES == codes | {"bad_request"}
+
+
+# Operands at the edges of double range, among them unit inputs that pass the unit gates.
+_EDGE_QUATS = [[0.6, 0.8, 0.0, 0.0], [-0.6, 0.8, 0.0, 0.0], [1e150, 1e-160, 0.0, 0.0],
+               [1e200, 0.0, 0.0, 0.0], [1e-7, 0.0, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0]]
+_EDGE_VECS = [[1.0, 0.0, 0.0], [1e200, 1e200, 0.0], [5e-324, 0.0, 1e-300]]
+_number = st.floats(-1e308, 1e308)  # subnormals included
+_OPERANDS = {
+    "quat": st.one_of(st.sampled_from(_EDGE_QUATS), st.lists(_number, min_size=4, max_size=4)),
+    "vec": st.one_of(st.sampled_from(_EDGE_VECS), st.lists(_number, min_size=3, max_size=3)),
+    "scalar": st.one_of(st.sampled_from([0.5, 1e308, 5e-324]), _number),
+}
+_INTS = st.one_of(st.sampled_from([10**400, -10**400, 10**307, -10**307, 10**308]),
+                  st.integers(-9, 9))
+
+
+@st.composite
+def _requests(draw):
+    op = draw(st.sampled_from(sorted(OPS)))
+    return {"params": draw(st.sampled_from(["hamilton", "split", "quarter", "2,3,5",
+                                            [1.0, 0.7, -1.3]])),
+            "op": op,
+            "operands": [draw(_OPERANDS[kind]) for kind in OPS[op].operands],
+            "options": {"n": draw(_INTS), "s": draw(_INTS)}}
+
+
+@settings(max_examples=700, deadline=None)
+@given(_requests())
+@example({"params": "hamilton", "op": "matrix-pow", "operands": [[0.6, 0.8, 0, 0]],
+          "options": {"n": 10**400}})
+@example({"params": "hamilton", "op": "pow", "operands": [[-0.6, 0.8, 0, 0]],
+          "options": {"n": 10**308}})
+@example({"params": "hamilton", "op": "scaled-pow", "operands": [[1e150, 1e-160, 0, 0]],
+          "options": {"n": 3, "s": 1}})
+@example({"params": "hamilton", "op": "adjoint", "operands": [[1e200, 0, 0, 0]]})
+def test_every_request_gets_one_strict_json_answer_with_a_documented_code(req):
+    # execute_request types every failure itself; only _emit's backstop is left behind it.
+    response, code = execute_request(req)
+    out = io.StringIO()
+    _emit(response, out)
+    body = _strict_json(out.getvalue())
+    assert (body["status"] == "ok") == (code == 0)
+    if code:
+        assert body["code"] in STABLE_CODES
 
 
 def test_emit_writes_strict_json_for_an_unchecked_infinity():
