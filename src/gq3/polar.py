@@ -145,7 +145,8 @@ def _power(modulus: float, n: int) -> float:
     try:
         return modulus ** n
     except OverflowError:  # float ** int raises where the power leaves float range
-        raise NonFinite(f"modulus {modulus} to the power {n} overflows") from None
+        # No n in the message: str() of an int past 4,300 digits raises ValueError.
+        raise NonFinite(f"modulus^n overflows for modulus = {modulus}") from None
 
 
 def _angle(n: int, theta: float) -> float:
@@ -291,5 +292,5 @@ def scaled_power_relation(p: GQuat, n: int, s: int, *,
     form = _axis_polar(p)
     m = _period(form.theta, period_rel_tol)
     if (n - s) % m != 0:
-        raise CongruenceViolation(f"{n} != {s} (mod {m})")
+        raise CongruenceViolation(f"n - s = {(n - s) % m} != 0 (mod {m})")  # as in _power
     return demoivre_pow(p, s).scale(_power(form.modulus, n - s))

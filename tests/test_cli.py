@@ -324,7 +324,8 @@ _OPERANDS = {
     "vec": st.one_of(st.sampled_from(_EDGE_VECS), st.lists(_number, min_size=3, max_size=3)),
     "scalar": st.one_of(st.sampled_from([0.5, 1e308, 5e-324]), _number),
 }
-_INTS = st.one_of(st.sampled_from([10**400, -10**400, 10**307, -10**307, 10**308]),
+_INTS = st.one_of(st.sampled_from([10**400, -10**400, 10**307, -10**307, 10**308,
+                                   10**4300 - 1, 1 - 10**4300]),  # the longest JSON ints
                   st.integers(-9, 9))
 
 
@@ -347,6 +348,8 @@ def _requests(draw):
 @example({"params": "hamilton", "op": "scaled-pow", "operands": [[1e150, 1e-160, 0, 0]],
           "options": {"n": 3, "s": 1}})
 @example({"params": "hamilton", "op": "adjoint", "operands": [[1e200, 0, 0, 0]]})
+@example({"params": "hamilton", "op": "scaled-pow", "operands": [[0, 1, 0, 0]],
+          "options": {"n": 10**4300 - 1, "s": -1}})  # n - s has 4,301 digits
 def test_every_request_gets_one_strict_json_answer_with_a_documented_code(req):
     # execute_request types every failure itself; only _emit's backstop is left behind it.
     response, code = execute_request(req)

@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from gq3 import (
     AlgebraError,
+    CongruenceViolation,
     GQuat,
     Mat3,
     NonFinite,
     ParamTriple,
     adjoint_group,
+    demoivre_pow,
     eigenvectors,
     matrix_pow,
     scaled_power_relation,
@@ -47,11 +49,19 @@ def test_non_finite_is_an_algebra_error_and_a_value_error():
     lambda: matrix_pow(GQuat(0.6, 0.8, 0.0, 0.0, H), 10**400),  # n is no float
     lambda: matrix_pow(GQuat(-0.6, 0.8, 0.0, 0.0, H), 10**308),  # n*theta is inf
     lambda: scaled_power_relation(GQuat(1e150, 1e-160, 0.0, 0.0, H), 3, 1),  # 2*pi/theta
+    # Exponents too long for str(): the message must not print them.
+    lambda: demoivre_pow(GQuat(2.0, 1.0, 0.0, 0.0, H), 10**5000),
+    lambda: scaled_power_relation(GQuat(0.0, 1.0, 0.0, 0.0, H), 10**4300 - 1, -1),
 ], ids=["mul", "scale", "add", "mat3", "inverse", "adjoint", "polar", "matrix-pow-int",
-        "matrix-pow-angle", "scaled-pow-period"])
+        "matrix-pow-angle", "scaled-pow-period", "pow-long-n", "scaled-pow-long-n-s"])
 def test_overflow_raises_non_finite(compute):
     with pytest.raises(NonFinite):
         compute()
+
+
+def test_congruence_violation_with_a_long_exponent_is_typed():
+    with pytest.raises(CongruenceViolation, match=r"n - s = 1 != 0 \(mod 4\)"):
+        scaled_power_relation(GQuat(0.0, 1.0, 0.0, 0.0, H), 10**5000 + 1, 0)
 
 
 def test_small_and_large_scalars_are_not_null():
