@@ -411,21 +411,25 @@ def _emit(response: dict, out) -> None:
 
 
 def _run_batch(path: str, inp, out, err) -> int:
+    # Lines are split at b"\n" and decoded one by one, so a bad byte costs only its
+    # line; a text stream passed as stdin (no .buffer) yields str lines.
     try:
-        handle = contextlib.nullcontext(inp) if path == "-" else open(path, "r", encoding="utf-8")
+        handle = (contextlib.nullcontext(getattr(inp, "buffer", inp)) if path == "-"
+                  else open(path, "rb"))
     except OSError as exc:
         print(f"gq3: cannot read batch file: {exc}", file=err)
         return EXIT_USAGE
 
     with handle as lines:
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
+                if not line:
+                    continue
                 request = json.loads(line)
-            except ValueError as exc:
-                # JSONDecodeError, or an integer literal too long to convert
+            except (ValueError, RecursionError) as exc:
+                # invalid UTF-8, JSONDecodeError, an integer literal too long to
+                # convert, or nesting deeper than the decoder's recursion limit
                 _emit(_error("bad_request", f"invalid JSON: {exc}"), out)
                 continue
             response, _ = execute_request(request)

@@ -21,6 +21,7 @@ module assumes positivity.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -185,10 +186,70 @@ def _require_same_params(a: ParamTriple, b: ParamTriple) -> None:
         raise ParamMismatch(f"parameter triples differ: {a.as_tuple()} vs {b.as_tuple()}")
 
 
+class _Componentwise:
+    """The vector-space structure GQuat and GVec3 share over one triple.
+
+    A subclass names its coordinate fields in ``_FIELDS`` (a GVec3 is a GQuat with
+    a0 = 0: the last three of a0..a3); ``components`` reads them in one C call.
+    Sums, differences, negation and scalar multiples act component by component.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.components = property(operator.attrgetter(*cls._FIELDS))
+
+    @classmethod
+    def from_components(cls, comps: Sequence[float], params: ParamTriple):
+        comps = tuple(comps)
+        if len(comps) != len(cls._FIELDS):
+            raise ValueError(f"{cls.__name__} takes {len(cls._FIELDS)} components, "
+                             f"got {len(comps)}")
+        return cls(*comps, params)
+
+    @classmethod
+    def basis(cls, i: int, params: ParamTriple):
+        """Basis element e_i for i over the indices of ``_FIELDS`` (e_0 is the unit scalar)."""
+        first = 4 - len(cls._FIELDS)
+        if i not in range(first, 4):
+            kind = "vector basis" if first else "basis"
+            raise ValueError(f"{kind} index must be {first}..3, got {i}")
+        return cls(*(float(j == i) for j in range(first, 4)), params)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _require_same_params(self.params, other.params)
+        return type(self)(*map(operator.add, self.components, other.components), self.params)
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        _require_same_params(self.params, other.params)
+        return type(self)(*map(operator.sub, self.components, other.components), self.params)
+
+    def __neg__(self):
+        return type(self)(*map(operator.neg, self.components), self.params)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def scale(self, c: float):
+        return type(self)(*[c * x for x in self.components], self.params)
+
+    def __repr__(self) -> str:
+        values = ", ".join(format(x, "g") for x in self.components)
+        return f"{type(self).__name__}({values}; params={self.params.as_tuple()})"
+
+
 # GQuat and GVec3 write __dict__ in their own __init__, half the cost of a frozen dataclass
 # __init__ (object.__setattr__ per field); __post_init__ runs once, checks, stores floats.
-@dataclass(frozen=True, init=False)
-class GQuat:
+# repr=False keeps _Componentwise.__repr__.
+@dataclass(frozen=True, init=False, repr=False)
+class GQuat(_Componentwise):
     """A generalized quaternion a0 + a1*e1 + a2*e2 + a3*e3 over a fixed triple.
 
     Immutable.  Arithmetic operators implement the algebra product; scalar
@@ -201,6 +262,8 @@ class GQuat:
     a3: float
     params: ParamTriple
 
+    _FIELDS = ("a0", "a1", "a2", "a3")
+
     def __init__(self, a0: float, a1: float, a2: float, a3: float, params: ParamTriple):
         self.__dict__["params"] = params
         self.__post_init__(a0, a1, a2, a3)
@@ -210,12 +273,9 @@ class GQuat:
         d = self.__dict__
         d["a0"], d["a1"], d["a2"], d["a3"] = float(a0), float(a1), float(a2), float(a3)
 
-    # --- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_components(cls, comps: Sequence[float], params: ParamTriple) -> "GQuat":
-        a0, a1, a2, a3 = comps
-        return cls(a0, a1, a2, a3, params)
+    # _Componentwise's classmethod, bound in GQuat's own namespace too: the tracing
+    # check of bench/test_bench.py patches and restores it there.
+    from_components = vars(_Componentwise)["from_components"]
 
     @classmethod
     def scalar(cls, c: float, params: ParamTriple) -> "GQuat":
@@ -225,19 +285,6 @@ class GQuat:
     def one(cls, params: ParamTriple) -> "GQuat":
         return cls(1.0, 0.0, 0.0, 0.0, params)
 
-    @classmethod
-    def basis(cls, i: int, params: ParamTriple) -> "GQuat":
-        """Basis element e_i for i in 0..3 (e_0 is the unit scalar)."""
-        if i not in (0, 1, 2, 3):
-            raise ValueError(f"basis index must be 0..3, got {i}")
-        return cls(*(float(j == i) for j in range(4)), params)
-
-    # --- views -------------------------------------------------------------
-
-    @property
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.a0, self.a1, self.a2, self.a3)
-
     @property
     def vector_part(self) -> "GVec3":
         return GVec3(self.a1, self.a2, self.a3, self.params)
@@ -246,39 +293,14 @@ class GQuat:
     def is_pure(self) -> bool:
         return self.a0 == 0.0
 
-    # --- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "GQuat") -> "GQuat":
-        if not isinstance(other, GQuat):
-            return NotImplemented
-        _require_same_params(self.params, other.params)
-        return GQuat(self.a0 + other.a0, self.a1 + other.a1,
-                     self.a2 + other.a2, self.a3 + other.a3, self.params)
-
-    def __sub__(self, other: "GQuat") -> "GQuat":
-        if not isinstance(other, GQuat):
-            return NotImplemented
-        _require_same_params(self.params, other.params)
-        return GQuat(self.a0 - other.a0, self.a1 - other.a1,
-                     self.a2 - other.a2, self.a3 - other.a3, self.params)
-
-    def __neg__(self) -> "GQuat":
-        return GQuat(-self.a0, -self.a1, -self.a2, -self.a3, self.params)
-
     def __mul__(self, other):
         if isinstance(other, GQuat):
             _require_same_params(self.params, other.params)
-            return GQuat(*_product(self.params._lam, (self.a0, self.a1, self.a2, self.a3),
-                                   (other.a0, other.a1, other.a2, other.a3)), self.params)
+            lam = self.params._lam
+            return GQuat(*_product(lam, self.components, other.components), self.params)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
-
-    # Only scalars reach __rmul__; quaternion*quaternion binds via __mul__.
-    __rmul__ = __mul__
-
-    def scale(self, c: float) -> "GQuat":
-        return GQuat(c * self.a0, c * self.a1, c * self.a2, c * self.a3, self.params)
 
     # --- involutions and metric --------------------------------------------
 
@@ -296,7 +318,7 @@ class GQuat:
 
     def _null_norm(self) -> tuple[float, bool]:
         """The norm, and whether it vanishes beside the sum of its terms' sizes (``_vanishes``)."""
-        lam, a = self.params._lam, (self.a0, self.a1, self.a2, self.a3)
+        lam, a = self.params._lam, self.components
         n = _dot(lam, a, a)
         return n, _vanishes(n, _dot(tuple(map(abs, lam)), a, a), "norm")
 
@@ -322,19 +344,17 @@ class GQuat:
         return _dot(self.params._lam, (self.a0, self.a1, self.a2, self.a3),
                     (other.a0, other.a1, other.a2, other.a3))
 
-    def __repr__(self) -> str:
-        return (f"GQuat({self.a0:g}, {self.a1:g}, {self.a2:g}, {self.a3:g}; "
-                f"params={self.params.as_tuple()})")
 
-
-@dataclass(frozen=True, init=False)
-class GVec3:
+@dataclass(frozen=True, init=False, repr=False)
+class GVec3(_Componentwise):
     """A pure generalized quaternion (zero scalar part), i.e. a tangent vector."""
 
     a1: float
     a2: float
     a3: float
     params: ParamTriple
+
+    _FIELDS = ("a1", "a2", "a3")
 
     def __init__(self, a1: float, a2: float, a3: float, params: ParamTriple):
         self.__dict__["params"] = params
@@ -345,54 +365,9 @@ class GVec3:
         d = self.__dict__
         d["a1"], d["a2"], d["a3"] = float(a1), float(a2), float(a3)
 
-    @classmethod
-    def from_components(cls, comps: Sequence[float], params: ParamTriple) -> "GVec3":
-        a1, a2, a3 = comps
-        return cls(a1, a2, a3, params)
-
-    @classmethod
-    def basis(cls, i: int, params: ParamTriple) -> "GVec3":
-        """Basis vector e_i for i in 1..3."""
-        if i not in (1, 2, 3):
-            raise ValueError(f"vector basis index must be 1..3, got {i}")
-        return cls(*(float(j == i) for j in (1, 2, 3)), params)
-
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.a1, self.a2, self.a3)
-
     def as_quat(self) -> GQuat:
         """Embed into the full algebra with zero scalar part (lossless)."""
         return GQuat(0.0, self.a1, self.a2, self.a3, self.params)
-
-    def __add__(self, other: "GVec3") -> "GVec3":
-        if not isinstance(other, GVec3):
-            return NotImplemented
-        _require_same_params(self.params, other.params)
-        return GVec3(self.a1 + other.a1, self.a2 + other.a2, self.a3 + other.a3, self.params)
-
-    def __sub__(self, other: "GVec3") -> "GVec3":
-        if not isinstance(other, GVec3):
-            return NotImplemented
-        _require_same_params(self.params, other.params)
-        return GVec3(self.a1 - other.a1, self.a2 - other.a2, self.a3 - other.a3, self.params)
-
-    def __neg__(self) -> "GVec3":
-        return GVec3(-self.a1, -self.a2, -self.a3, self.params)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, c: float) -> "GVec3":
-        return GVec3(c * self.a1, c * self.a2, c * self.a3, self.params)
-
-    def __repr__(self) -> str:
-        return (f"GVec3({self.a1:g}, {self.a2:g}, {self.a3:g}; "
-                f"params={self.params.as_tuple()})")
 
 
 # --- bilinear machinery on pure quaternions --------------------------------

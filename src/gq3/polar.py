@@ -202,17 +202,16 @@ def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
         raise NotUnitVector(f"f({name}, {name}) = {ff} != 1")
 
 
-def _period(theta: float, period_rel_tol: float) -> int:
-    """The integer m >= 2 equal to 2*pi/theta within relative tolerance.
+def _period(theta: float) -> int:
+    """The integer m >= 2 equal to 2*pi/theta within relative PERIOD_REL_TOL.
 
     Raises NoPeriod when there is none, NonFinite when 2*pi/theta overflows.
     """
-    _check_tolerance(period_rel_tol, "period_rel_tol")
     ratio = 2.0 * math.pi / theta  # theta > 0, as D > 0 and a0 * a0 is finite
     if not math.isfinite(ratio):
         raise NonFinite(f"2*pi/theta overflows for theta = {theta}")
     m = round(ratio)
-    if not (m >= 2 and abs(ratio - m) < period_rel_tol * ratio):
+    if not (m >= 2 and abs(ratio - m) < PERIOD_REL_TOL * ratio):
         raise NoPeriod(f"2*pi/theta = {ratio} is not an integer >= 2")
     return m
 
@@ -265,8 +264,7 @@ def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> RootSe
     return RootSet(degree=n, roots=roots)
 
 
-def power_period(p: GQuat, *, unit_tol: float = UNIT_NORM_TOL,
-                 period_rel_tol: float = PERIOD_REL_TOL) -> int | None:
+def power_period(p: GQuat, *, unit_tol: float = UNIT_NORM_TOL) -> int | None:
     """Smallest m >= 2 with p^(k+m) = p^k for all k, if the angle admits one.
 
     Exists exactly when 2*pi/theta is an integer; detected within a relative
@@ -274,13 +272,12 @@ def power_period(p: GQuat, *, unit_tol: float = UNIT_NORM_TOL,
     """
     form = _unit_polar(p, unit_tol)
     try:
-        return _period(form.theta, period_rel_tol)
+        return _period(form.theta)
     except NoPeriod:
         return None
 
 
-def scaled_power_relation(p: GQuat, n: int, s: int, *,
-                          period_rel_tol: float = PERIOD_REL_TOL) -> GQuat:
+def scaled_power_relation(p: GQuat, n: int, s: int) -> GQuat:
     """Reduce p^n to modulus^(n-s) * p^s using the period of the unit part.
 
     Requires the normalized quaternion p/modulus to have an integer power
@@ -290,7 +287,7 @@ def scaled_power_relation(p: GQuat, n: int, s: int, *,
     _require_int(n)
     _require_int(s)
     form = _axis_polar(p)
-    m = _period(form.theta, period_rel_tol)
+    m = _period(form.theta)
     if (n - s) % m != 0:
         raise CongruenceViolation(f"n - s = {(n - s) % m} != 0 (mod {m})")  # as in _power
     return demoivre_pow(p, s).scale(_power(form.modulus, n - s))

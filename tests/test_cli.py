@@ -577,6 +577,31 @@ def test_batch_survives_an_integer_too_long_to_read(tmp_path):
     assert second["result"] == {"scalar": 4.0}
 
 
+_NORM_LINE = b'{"params": "hamilton", "op": "norm", "operands": [[%d, 0, 0, 0]]}'
+UNREADABLE_LINES = {
+    "invalid-utf8": b'{"params": "ham\xffilton", "op": "norm", "operands": [[1, 0, 0, 0]]}',
+    "too-deep": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_LINES))
+@pytest.mark.parametrize("source", ["path", "stdin"])
+def test_batch_answers_an_unreadable_line_and_goes_on(tmp_path, source, name, newline):
+    data = newline.join([_NORM_LINE % 2, UNREADABLE_LINES[name], _NORM_LINE % 3, b""])
+    path = tmp_path / "requests.ndjson"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    if source == "path":
+        code = main(["batch", str(path)], stdout=out, stderr=err)
+    else:
+        code = main(["batch", "-"], stdin=io.BytesIO(data), stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    first, middle, last = (json.loads(line) for line in out.getvalue().splitlines())
+    assert first["result"] == {"scalar": 4.0} and last["result"] == {"scalar": 9.0}
+    assert middle["code"] == "bad_request" and middle["message"].startswith("invalid JSON: ")
+
+
 def test_registry_is_well_formed():
     for name, op in OPS.items():
         assert name == name.lower()

@@ -1,6 +1,7 @@
 """Pointwise algebra: product, conjugate, norm, inverse, bilinear machinery."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,85 @@ def test_scale_annihilation_and_additive_inverse():
     assert p.scale(0.0).components == (0.0, 0.0, 0.0, 0.0)
     assert (p + p.scale(-1.0)).components == (0.0, 0.0, 0.0, 0.0)
     assert (2.0 * p).components == (p * 2.0).components == (3.0, -4.0, 1.0, 6.0)
+
+
+# --- the componentwise structure GQuat and GVec3 share -------------------------------
+
+KINDS = {GQuat: 4, GVec3: 3}
+
+
+def _bits(values) -> list[str]:
+    # float.hex tells -0.0 from 0.0, so equal lists mean equal bits.
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+@pytest.mark.parametrize("cls", KINDS)
+def test_componentwise_ops_are_the_float_ops(rng, cls, params):
+    for _ in range(10):
+        a, b = (rng.standard_normal(KINDS[cls]) * 10.0 ** rng.integers(-5, 6) for _ in "ab")
+        x, y = cls.from_components(a, params), cls.from_components(b, params)
+        a, b = x.components, y.components
+        assert _bits((-x).components) == _bits(-u for u in a)
+        assert _bits((x + y).components) == _bits(u + v for u, v in zip(a, b))
+        assert _bits((x - y).components) == _bits(u - v for u, v in zip(a, b))
+        for c in (3, -0.3, 0.0, float(rng.standard_normal())):
+            expected = _bits(c * u for u in a)
+            assert _bits((c * x).components) == expected
+            assert _bits((x * c).components) == expected
+            assert _bits(x.scale(c).components) == expected
+        assert cls.from_components(a, params) == x and (-x).params is params
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+def test_repr_shows_components_g_formatted_and_the_triple(params):
+    lam = params.as_tuple()
+    assert repr(GQuat(1.0, -2.5, 3e-20, 4e20, params)) == (
+        f"GQuat(1, -2.5, 3e-20, 4e+20; params={lam})")
+    assert repr(GVec3(-0.0, 0.125, 1234567.0, params)) == (
+        f"GVec3(-0, 0.125, 1.23457e+06; params={lam})")
+
+
+@pytest.mark.parametrize("cls", KINDS)
+def test_basis_and_its_index_range(cls):
+    first = 4 - KINDS[cls]
+    for i in range(first, 4):
+        e = cls.basis(i, H)
+        assert e.components == tuple(float(j == i) for j in range(first, 4))
+    message = "basis index must be 0..3" if cls is GQuat else "vector basis index must be 1..3"
+    for i in (first - 1, 4):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got {i}$"):
+            cls.basis(i, H)
+
+
+@pytest.mark.parametrize("cls", KINDS)
+def test_from_components_needs_one_value_per_component(cls):
+    for n in (KINDS[cls] - 1, KINDS[cls] + 1):
+        with pytest.raises(ValueError):
+            cls.from_components([1.0] * n, H)
+
+
+def test_quaternions_and_vectors_do_not_mix():
+    p, v = GQuat(0.0, 1.0, 2.0, 3.0, H), GVec3(1.0, 2.0, 3.0, H)
+    for op in (lambda: p + v, lambda: v + p, lambda: p - v, lambda: v - p, lambda: v * v):
+        with pytest.raises(TypeError):
+            op()
+    assert p == v.as_quat() and p != v and v != p
+
+
+@pytest.mark.parametrize("cls", KINDS)
+def test_componentwise_ops_refuse_mixed_triples(cls):
+    x = cls.basis(1, H)
+    y = cls.basis(1, ParamTriple.split())
+    for op in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x):
+        with pytest.raises(ParamMismatch):
+            op()
+
+
+@pytest.mark.parametrize("cls", KINDS)
+def test_fields_are_the_dataclass_fields_but_params(cls):
+    names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "params")
+    assert cls._FIELDS == names
 
 
 def test_mixing_params_raises():

@@ -1,5 +1,7 @@
-"""The package's export list, and the standard-library-only runtime."""
+"""The package's export list, the standard-library-only runtime, and the README tour."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,8 @@ from pathlib import Path
 import gq3
 from gq3 import core, errors, lie, matrices, polar
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 MODULES = (core, errors, matrices, polar, lie)
 
@@ -33,3 +36,32 @@ def test_runtime_does_not_import_numpy():
     done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _readme_tour() -> list[tuple[str, str | None]]:
+    """(code, commented result or None) of each line of the README's Python block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```python\n(.*?)^```", text, re.M | re.S).group(1)
+    lines = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  # ")
+        if code.strip() and not code.startswith("#"):
+            lines.append((code, comment.split(" — ")[0].strip() or None))
+    return lines
+
+
+def test_readme_tour_shows_what_it_computes():
+    namespace: dict = {}
+    shown = 0
+    for code, expected in _readme_tour():
+        statement = ast.parse(code).body[0]
+        if isinstance(statement, ast.Expr):
+            value = eval(code, namespace)
+        else:
+            exec(code, namespace)
+            value = namespace[statement.targets[0].id] if expected else None
+        if expected is not None:
+            pattern = ".*".join(map(re.escape, expected.split("...")))
+            assert re.fullmatch(pattern, repr(value)), (code, repr(value))
+            shown += 1
+    assert shown == 4

@@ -236,11 +236,6 @@ TOLERANCE_CALLS = {
     "euler_exp": lambda tol: euler_exp(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
     "euler_exp_matrix": lambda tol: euler_exp_matrix(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
     "adjoint_rodrigues": lambda tol: adjoint_rodrigues(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
-    # valid inputs: with period_rel_tol=inf the turn by one radian had period 6
-    "power_period_rel": lambda tol: power_period(
-        GQuat(math.cos(1.0), math.sin(1.0), 0.0, 0.0, H), period_rel_tol=tol),
-    "scaled_power_relation": lambda tol: scaled_power_relation(
-        GQuat(-0.5, 0.5, 0.5, 0.5, H), 4, 1, period_rel_tol=tol),
 }
 
 
@@ -250,6 +245,14 @@ def test_gate_tolerance_must_be_finite_and_non_negative(name, tol):
     # abs(x) > nan is false for every x, so a NaN tolerance would open the gate.
     with pytest.raises(ValueError, match="must be finite and >= 0"):
         TOLERANCE_CALLS[name](tol)
+
+
+def test_period_tolerance_is_not_a_keyword():
+    # Period detection always uses PERIOD_REL_TOL.
+    with pytest.raises(TypeError):
+        power_period(P_THIRD, period_rel_tol=1e-3)
+    with pytest.raises(TypeError):
+        scaled_power_relation(P_THIRD, 4, 1, period_rel_tol=1e-3)
 
 
 # --- exponentials --------------------------------------------------------------------
