@@ -228,14 +228,23 @@ def test_matrix_power_requires_unit_norm():
 
 
 # Every library call that takes a gate tolerance, on an input (norm 5, or
-# f(v, v) = 4) that the gate must refuse.
+# f(v, v) = 4) that the gate must refuse, with the error it must raise.
+GATE = (ValueError, "must be finite and >= 0")
+# Period detection always uses PERIOD_REL_TOL: it has no tolerance keyword, so
+# any value passed as one is refused before it could reach a gate.
+NO_KEYWORD = (TypeError, "unexpected keyword argument 'period_rel_tol'")
 TOLERANCE_CALLS = {
-    "matrix_pow": lambda tol: matrix_pow(GQuat(2.0, 0.0, 0.0, 1.0, H), 2, unit_tol=tol),
-    "matrix_roots": lambda tol: matrix_roots(GQuat(2.0, 0.0, 0.0, 1.0, H), 2, unit_tol=tol),
-    "power_period": lambda tol: power_period(GQuat(2.0, 0.0, 0.0, 1.0, H), unit_tol=tol),
-    "euler_exp": lambda tol: euler_exp(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
-    "euler_exp_matrix": lambda tol: euler_exp_matrix(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
-    "adjoint_rodrigues": lambda tol: adjoint_rodrigues(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol),
+    "matrix_pow": (lambda tol: matrix_pow(GQuat(2.0, 0.0, 0.0, 1.0, H), 2, unit_tol=tol), GATE),
+    "matrix_roots": (lambda tol: matrix_roots(GQuat(2.0, 0.0, 0.0, 1.0, H), 2, unit_tol=tol), GATE),
+    "power_period": (lambda tol: power_period(GQuat(2.0, 0.0, 0.0, 1.0, H), unit_tol=tol), GATE),
+    "power_period_rel": (lambda tol: power_period(P_THIRD, period_rel_tol=tol), NO_KEYWORD),
+    "scaled_power_relation": (
+        lambda tol: scaled_power_relation(P_THIRD, 4, 1, period_rel_tol=tol), NO_KEYWORD),
+    "euler_exp": (lambda tol: euler_exp(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol), GATE),
+    "euler_exp_matrix": (
+        lambda tol: euler_exp_matrix(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol), GATE),
+    "adjoint_rodrigues": (
+        lambda tol: adjoint_rodrigues(GVec3(2.0, 0.0, 0.0, H), 0.5, axis_tol=tol), GATE),
 }
 
 
@@ -243,16 +252,9 @@ TOLERANCE_CALLS = {
 @pytest.mark.parametrize("name", sorted(TOLERANCE_CALLS))
 def test_gate_tolerance_must_be_finite_and_non_negative(name, tol):
     # abs(x) > nan is false for every x, so a NaN tolerance would open the gate.
-    with pytest.raises(ValueError, match="must be finite and >= 0"):
-        TOLERANCE_CALLS[name](tol)
-
-
-def test_period_tolerance_is_not_a_keyword():
-    # Period detection always uses PERIOD_REL_TOL.
-    with pytest.raises(TypeError):
-        power_period(P_THIRD, period_rel_tol=1e-3)
-    with pytest.raises(TypeError):
-        scaled_power_relation(P_THIRD, 4, 1, period_rel_tol=1e-3)
+    call, (error, message) = TOLERANCE_CALLS[name]
+    with pytest.raises(error, match=message):
+        call(tol)
 
 
 # --- exponentials --------------------------------------------------------------------
