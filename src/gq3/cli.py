@@ -24,8 +24,7 @@ import math
 import operator
 import struct
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 # The op table names its library functions as text ("polar.matrix_pow",
 # "wedge"), resolved in this module's namespace: these imports serve it.
@@ -34,6 +33,7 @@ from .core import (
     GQuat,
     GVec3,
     ParamTriple,
+    _Record,
     bilinear_f,
     family,
     wedge,
@@ -71,7 +71,7 @@ _TRIPLES_MAX = 64
 _PACK3 = struct.Struct("3d")
 
 
-def parse_params(value: Any) -> ParamTriple:
+def parse_params(value: object) -> ParamTriple:
     """Accept [l1, l2, l3], "l1,l2,l3", a family name, or "2param:l,m".
 
     Successful parses are kept in ``_TRIPLES``, cleared when it holds ``_TRIPLES_MAX``, so
@@ -90,7 +90,7 @@ def parse_params(value: Any) -> ParamTriple:
     return params
 
 
-def _parse_params(value: Any) -> ParamTriple:
+def _parse_params(value: object) -> ParamTriple:
     if isinstance(value, (list, tuple)):
         if len(value) != 3:
             raise RequestError(f"params list needs 3 entries, got {value!r}")
@@ -120,7 +120,7 @@ def _parse_params(value: Any) -> ParamTriple:
 _SHAPES = {"quat": (4, GQuat, "quaternion"), "vec": (3, GVec3, "vector")}
 
 
-def _coerce(kind: str, value: Any, params: ParamTriple):
+def _coerce(kind: str, value: object, params: ParamTriple):
     """Turn one operand literal of the given kind into a library value."""
     if kind == "scalar":
         return _coerce_scalar(value)
@@ -149,7 +149,7 @@ def _coerce(kind: str, value: Any, params: ParamTriple):
     raise RequestError(f"expected a {what} ({size} components), got {value!r}")
 
 
-def _coerce_scalar(value: Any) -> float:
+def _coerce_scalar(value: object) -> float:
     if isinstance(value, str):
         try:
             number = float(value)
@@ -221,7 +221,7 @@ def _complex(z: complex) -> list[float]:
 
 # Result tag -> how the value under that tag is written.  Matrices are tuples
 # of row tuples, which json writes as nested arrays.
-_ENCODE: dict[str, Callable[[Any], Any]] = {
+_ENCODE: dict[str, Callable[[object], object]] = {
     "quat": _components,
     "vector": _components,
     "scalar": _finite,
@@ -250,8 +250,7 @@ _ENCODE: dict[str, Callable[[Any], Any]] = {
 # --- operation table -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpSpec:
+class OpSpec(_Record):
     """One row of the operation table.
 
     The library function is attribute ``name`` of ``owner``, a module or
@@ -263,14 +262,13 @@ class OpSpec:
     The result is written under ``tag``.
     """
 
-    operands: tuple[str, ...]
-    summary: str
-    owner: Any
-    name: str
-    tag: str
-    ints: tuple[str, ...]
-    tol: str | None
-    root_degree: bool  # option n is a root degree, from 1 to polar.MAX_ROOT_DEGREE
+    __match_args__ = ("operands", "summary", "owner", "name", "tag", "ints", "tol",
+                      "root_degree")
+
+    # root_degree: option n is a root degree, from 1 to polar.MAX_ROOT_DEGREE.
+    def __init__(self, operands: tuple[str, ...], summary: str, owner: object, name: str,
+                 tag: str, ints: tuple[str, ...], tol: str | None, root_degree: bool):
+        self._init_fields(operands, summary, owner, name, tag, ints, tol, root_degree)
 
 
 def _op(operands: str, call: str, tag: str, summary: str, *, ints: str = "",
@@ -461,7 +459,7 @@ def _parse_argv(argv: Sequence[str]) -> dict:
     """
     flags = {"--params": "params", "--family": "family", "--n": "n",
              "--s": "s", "--tol": "tolerance"}
-    parsed: dict[str, Any] = {**dict.fromkeys(flags.values()), "op": None, "operands": []}
+    parsed: dict[str, object] = {**dict.fromkeys(flags.values()), "op": None, "operands": []}
     i = 0
     while i < len(argv):
         token = argv[i]
@@ -485,7 +483,7 @@ def _parse_argv(argv: Sequence[str]) -> dict:
     return parsed
 
 
-def _literal(text: str | None, kind: type) -> Any:
+def _literal(text: str | None, kind: type) -> object:
     # A literal of the option's type (int for --n/--s, float for --tol)
     # becomes a number; anything else is passed on unchanged, to be rejected,
     # or ignored by an op that takes no such option.

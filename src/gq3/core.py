@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import NonFinite, ParamMismatch, ZeroNorm
 
@@ -65,6 +64,48 @@ def _vanishes(value: float, scale: float, what: str) -> bool:
     return abs(value) <= 1e-12 * scale
 
 
+class _Record:
+    """An immutable record: equality, hash, repr and match patterns over ``__match_args__``.
+
+    A subclass names its fields, in constructor order, in ``__match_args__`` and writes
+    them to the instance ``__dict__`` in its ``__init__``.  Records are equal when they
+    are of the same class and their field tuples are equal; the hash is that of the
+    field tuple.  Assignment and deletion raise ``dataclasses.FrozenInstanceError``,
+    imported only then: the dataclasses module costs a process more than all of gq3.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__match_args__" in vars(cls):
+            cls._fields = property(operator.attrgetter(*cls.__match_args__))
+
+    def _init_fields(self, *values) -> None:
+        self.__dict__.update(zip(self.__match_args__, values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._fields))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 # --- kernels: each closed form once, as plain arithmetic over lam = (l1, l2, l3) and
 # component tuples, with no validation or math calls; tests/test_proofs.py runs them on sympy.
 
@@ -95,8 +136,7 @@ def _bilinear(lam, u, v):
     return l1 * l2 * u[0] * v[0] + l1 * l3 * u[1] * v[1] + l2 * l3 * u[2] * v[2]
 
 
-@dataclass(frozen=True)
-class ParamTriple:
+class ParamTriple(_Record):
     """The (lambda1, lambda2, lambda3) triple selecting one algebra family.
 
     Zero and negative entries are legal; they produce the degenerate and
@@ -104,13 +144,11 @@ class ParamTriple:
     operable together only if their triples match exactly.
     """
 
-    lambda1: float
-    lambda2: float
-    lambda3: float
+    __match_args__ = ("lambda1", "lambda2", "lambda3")
 
-    def __post_init__(self):
-        lam = self.lambda1, self.lambda2, self.lambda3
-        _check_finite(("lambda1", "lambda2", "lambda3"), lam, "")
+    def __init__(self, lambda1: float, lambda2: float, lambda3: float):
+        lam = lambda1, lambda2, lambda3
+        _check_finite(self.__match_args__, lam, "")
         l1, l2, l3 = lam = tuple(map(float, lam))
         # The kernels take _lam; the pairwise products l12, l13, l23 weigh product, norm, metric.
         self.__dict__.update(lambda1=l1, lambda2=l2, lambda3=l3, _lam=lam,
@@ -186,15 +224,17 @@ def _require_same_params(a: ParamTriple, b: ParamTriple) -> None:
         raise ParamMismatch(f"parameter triples differ: {a.as_tuple()} vs {b.as_tuple()}")
 
 
-class _Componentwise:
+class _Componentwise(_Record):
     """The vector-space structure GQuat and GVec3 share over one triple.
 
     A subclass names its coordinate fields in ``_FIELDS`` (a GVec3 is a GQuat with
-    a0 = 0: the last three of a0..a3); ``components`` reads them in one C call.
-    Sums, differences, negation and scalar multiples act component by component.
+    a0 = 0: the last three of a0..a3); ``components`` reads them in one C call, and
+    the record fields are these and ``params``.  Sums, differences, negation and
+    scalar multiples act component by component.
     """
 
     def __init_subclass__(cls, **kwargs):
+        cls.__match_args__ = (*cls._FIELDS, "params")
         super().__init_subclass__(**kwargs)
         cls.components = property(operator.attrgetter(*cls._FIELDS))
 
@@ -245,22 +285,14 @@ class _Componentwise:
         return f"{type(self).__name__}({values}; params={self.params.as_tuple()})"
 
 
-# GQuat and GVec3 write __dict__ in their own __init__, half the cost of a frozen dataclass
-# __init__ (object.__setattr__ per field); __post_init__ runs once, checks, stores floats.
-# repr=False keeps _Componentwise.__repr__.
-@dataclass(frozen=True, init=False, repr=False)
+# GQuat and GVec3, built on every operation, write __dict__ in their own __init__, and
+# __post_init__ runs once: checks, stores floats.
 class GQuat(_Componentwise):
     """A generalized quaternion a0 + a1*e1 + a2*e2 + a3*e3 over a fixed triple.
 
     Immutable.  Arithmetic operators implement the algebra product; scalar
     multiplication works with plain numbers on either side.
     """
-
-    a0: float
-    a1: float
-    a2: float
-    a3: float
-    params: ParamTriple
 
     _FIELDS = ("a0", "a1", "a2", "a3")
 
@@ -338,21 +370,16 @@ class GQuat(_Componentwise):
         """Scalar product a0*b0 + l12*a1*b1 + l13*a2*b2 + l23*a3*b3.
 
         Coincides with the scalar part of ``p * q.conj()`` and reduces to the
-        norm when both arguments agree.
+        norm when both arguments agree.  A GVec3 argument raises TypeError.
         """
+        if not isinstance(other, GQuat):
+            raise TypeError(f"dot takes a GQuat, got {type(other).__name__}")
         _require_same_params(self.params, other.params)
-        return _dot(self.params._lam, (self.a0, self.a1, self.a2, self.a3),
-                    (other.a0, other.a1, other.a2, other.a3))
+        return _dot(self.params._lam, self.components, other.components)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class GVec3(_Componentwise):
     """A pure generalized quaternion (zero scalar part), i.e. a tangent vector."""
-
-    a1: float
-    a2: float
-    a3: float
-    params: ParamTriple
 
     _FIELDS = ("a1", "a2", "a3")
 
@@ -390,9 +417,12 @@ def wedge(u: GVec3, v: GVec3) -> GVec3:
 
     Component weights are (lambda3, lambda2, lambda1); antisymmetric, and
     equal to the antisymmetric part of the algebra product of ``u`` and ``v``.
+    A GQuat argument raises TypeError rather than lose its scalar part.
     """
+    if not (isinstance(u, GVec3) and isinstance(v, GVec3)):
+        raise TypeError(f"wedge takes two GVec3, got {type(u).__name__} and {type(v).__name__}")
     _require_same_params(u.params, v.params)
-    return GVec3(*_wedge(u.params._lam, (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3)), u.params)
+    return GVec3(*_wedge(u.params._lam, u.components, v.components), u.params)
 
 
 def wedge_triple_left(p: GVec3, q: GVec3, r: GVec3) -> GVec3:

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, mul
 
-from .core import GQuat, ParamTriple, _vanishes, bilinear_f
+from .core import GQuat, ParamTriple, _Record, _vanishes, bilinear_f
 from .errors import DegenerateAxis, NonFinite
 
 __all__ = [
@@ -183,18 +182,21 @@ def det4(m) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(_Record):
     """Characteristic polynomial of a left-multiplication matrix.
 
     Always the perfect square of a quadratic, so it is stored both ways:
     ``coefficients`` holds the expanded degree-4 coefficients (low to high,
     leading coefficient 1) and ``quadratic`` the repeated factor
-    t^2 - 2*a0*t + norm (low to high).
+    t^2 - 2*a0*t + norm (low to high).  Calling it evaluates the expanded
+    polynomial at t by Horner's rule.
     """
 
-    coefficients: tuple[float, float, float, float, float]
-    quadratic: tuple[float, float, float]
+    __match_args__ = ("coefficients", "quadratic")
+
+    def __init__(self, coefficients: tuple[float, float, float, float, float],
+                 quadratic: tuple[float, float, float]):
+        self._init_fields(coefficients, quadratic)
 
     def __call__(self, t: complex) -> complex:
         acc = 0j
@@ -213,17 +215,19 @@ def char_poly(p: GQuat) -> CharPoly:
     )
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(_Record):
     """One eigenvalue of a left-multiplication matrix, optionally with a vector.
 
     Eigenvalues come in a conjugate pair, each of algebraic multiplicity two;
     ``vector`` is None when only the value is being reported.
     """
 
-    value: complex
-    vector: tuple[complex, complex, complex, complex] | None = None
-    multiplicity: int = 2
+    __match_args__ = ("value", "vector", "multiplicity")
+
+    def __init__(self, value: complex,
+                 vector: tuple[complex, complex, complex, complex] | None = None,
+                 multiplicity: int = 2):
+        self._init_fields(value, vector, multiplicity)
 
 
 def eigenvalues(p: GQuat) -> tuple[EigenPair, EigenPair]:

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
-from .core import GQuat, GVec3, ParamTriple, bilinear_f
+from .core import GQuat, GVec3, ParamTriple, _Record, bilinear_f
 from .errors import (CongruenceViolation, NonElliptic, NonFinite, NonUnit, NoPeriod,
                      NotUnitVector, ZeroNorm)
 from .matrices import Mat4, _mult_rows
@@ -50,8 +49,7 @@ PERIOD_REL_TOL = 1e-9
 MAX_ROOT_DEGREE = 1024
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(_Record):
     """Decomposition modulus * (cos(theta) + axis*sin(theta)).
 
     ``modulus`` is the positive square root of the norm and ``theta`` lies in
@@ -61,10 +59,10 @@ class PolarForm:
     and exponentials are built through it as well.
     """
 
-    modulus: float
-    theta: float
-    axis: GVec3 | None
-    params: ParamTriple
+    __match_args__ = ("modulus", "theta", "axis", "params")
+
+    def __init__(self, modulus: float, theta: float, axis: GVec3 | None, params: ParamTriple):
+        self._init_fields(modulus, theta, axis, params)
 
     def compose(self) -> GQuat:
         """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis; NonFinite on overflow."""
@@ -75,12 +73,13 @@ class PolarForm:
         return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(_Record):
     """All nth roots of a unit-quaternion matrix, indexed k = 0..degree-1."""
 
-    degree: int
-    roots: tuple[Mat4, ...]
+    __match_args__ = ("degree", "roots")
+
+    def __init__(self, degree: int, roots: tuple[Mat4, ...]):
+        self._init_fields(degree, roots)
 
 
 def to_polar(p: GQuat) -> PolarForm:

@@ -1,6 +1,7 @@
 """Pointwise algebra: product, conjugate, norm, inverse, bilinear machinery."""
 
 import dataclasses
+import inspect
 import re
 
 import pytest
@@ -8,17 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gq3 import (
+    CharPoly,
+    EigenPair,
     GQuat,
     GVec3,
     ParamMismatch,
     ParamTriple,
+    PolarForm,
+    RootSet,
     ZeroNorm,
     bilinear_f,
+    bracket,
     family,
+    left_matrix,
     wedge,
     wedge_triple_left,
     wedge_triple_right,
 )
+from gq3.cli import OPS, OpSpec
 from helpers import FAMILIES, quat_close, random_quat, random_vec, rel_close, vec_close
 
 from _hamilton import HQuat
@@ -150,9 +158,53 @@ def test_componentwise_ops_refuse_mixed_triples(cls):
 
 
 @pytest.mark.parametrize("cls", KINDS)
-def test_fields_are_the_dataclass_fields_but_params(cls):
-    names = tuple(f.name for f in dataclasses.fields(cls) if f.name != "params")
-    assert cls._FIELDS == names
+def test_fields_and_params_are_the_record_fields(cls):
+    names = cls._FIELDS + ("params",)
+    assert tuple(inspect.signature(cls).parameters) == names == cls.__match_args__
+    x = cls.from_components(range(1, len(cls._FIELDS) + 1), H)
+    assert hash(x) == hash(tuple(getattr(x, name) for name in names))
+    for name in names:
+        values = {n: getattr(x, n) for n in names}
+        values[name] = ParamTriple.split() if name == "params" else 0.5
+        assert cls(**values) != x, name
+
+
+# One value of each record type, and the same fields passed by keyword.
+_V = GVec3(0.6, 0.0, 0.8, H)
+RECORDS = [
+    (H, dict(lambda1=1.0, lambda2=1.0, lambda3=1.0)),
+    (CharPoly((4.0, 3.0, 2.0, 1.0, 1.0), (1.0, 0.5, 1.0)),
+     dict(coefficients=(4.0, 3.0, 2.0, 1.0, 1.0), quadratic=(1.0, 0.5, 1.0))),
+    (EigenPair(1 + 2j), dict(value=1 + 2j, vector=None, multiplicity=2)),
+    (EigenPair(1j, (1j, 0j, 1 + 0j, 0j), 1),
+     dict(value=1j, vector=(1j, 0j, 1 + 0j, 0j), multiplicity=1)),
+    (PolarForm(2.0, 0.5, _V, H), dict(modulus=2.0, theta=0.5, axis=_V, params=H)),
+    (PolarForm(1.0, 0.0, None, H), dict(modulus=1.0, theta=0.0, axis=None, params=H)),
+    (RootSet(1, (left_matrix(GQuat.one(H)),)),
+     dict(degree=1, roots=(left_matrix(GQuat.one(H)),))),
+    (OPS["roots"], {name: getattr(OPS["roots"], name) for name in OpSpec.__match_args__}),
+]
+
+
+@pytest.mark.parametrize("record, fields", RECORDS,
+                         ids=[type(record).__name__ for record, _ in RECORDS])
+def test_records_compare_hash_and_print_by_their_fields(record, fields):
+    cls = type(record)
+    assert tuple(inspect.signature(cls).parameters) == cls.__match_args__ == tuple(fields)
+    values = tuple(fields.values())
+    assert cls(**fields) == record == cls(*values) and hash(record) == hash(values)
+    assert record != object() and record != GQuat.one(H)
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({shown})"
+    assert not dataclasses.is_dataclass(record)
+    for name in (*fields, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=rf"^cannot assign to field '{name}'$"):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError,
+                           match=rf"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
 
 
 def test_mixing_params_raises():
@@ -280,6 +332,20 @@ def test_wedge_triple_identities(rng, params):
         assert vec_close(right, expect_r, 1e-9)
 
 
+def test_wedge_and_bracket_refuse_quaternions():
+    # A GQuat would lose its scalar part; bilinear_f takes one on purpose.
+    p, q, v = GQuat(5.0, 1.0, 0.0, 0.0, H), GQuat(7.0, 0.0, 1.0, 0.0, H), GVec3(0.0, 1.0, 0.0, H)
+    calls = [lambda: wedge(p, q), lambda: wedge(p, v), lambda: wedge(v, q),
+             lambda: bracket(p, q), lambda: bracket(v, q)]
+    for args in ((p, v, v), (v, p, v), (v, v, p)):
+        calls += [lambda args=args: wedge_triple_left(*args),
+                  lambda args=args: wedge_triple_right(*args)]
+    for call in calls:
+        with pytest.raises(TypeError, match="^wedge takes two GVec3"):
+            call()
+    assert bilinear_f(p, q) == 0.0
+
+
 def test_wedge_triple_degenerate_cases(rng):
     params = ParamTriple(2.0, 3.0, 5.0)
     p = random_vec(rng, params)
@@ -332,6 +398,21 @@ def test_norm_of_scalar_multiple(rng):
         p = random_quat(rng, params)
         c = 2.75
         assert rel_close(p.scale(c).norm(), c * c * p.norm(), 1e-12)
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+def test_norm_is_the_weighted_sum_of_squares_bit_for_bit(rng, params):
+    l1, l2, l3 = params.as_tuple()
+    for _ in range(20):
+        p = random_quat(rng, params, 10.0)
+        a0, a1, a2, a3 = p.components
+        expected = a0 * a0 + l1 * l2 * a1 * a1 + l1 * l3 * a2 * a2 + l2 * l3 * a3 * a3
+        assert p.norm().hex() == p.dot(p).hex() == expected.hex()
+
+
+def test_dot_refuses_a_vector():
+    with pytest.raises(TypeError, match="^dot takes a GQuat, got GVec3$"):
+        GQuat(1.0, 2.0, 3.0, 4.0, H).dot(GVec3(1.0, 2.0, 3.0, H))
 
 
 def test_inverse_examples():
@@ -434,6 +515,13 @@ def test_vector_embedding_round_trips():
     q = v.as_quat()
     assert q.a0 == 0.0 and q.is_pure
     assert q.vector_part.components == v.components
+
+
+def test_is_pure_exactly_when_the_scalar_part_is_zero():
+    for a0 in (0.0, -0.0):
+        assert GQuat(a0, 1.0, 2.0, 3.0, H).is_pure
+    for a0 in (1.0, -5e-324, 1e-300):
+        assert not GQuat(a0, 0.0, 0.0, 0.0, H).is_pure
 
 
 # --- hypothesis property checks -------------------------------------------------------

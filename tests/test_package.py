@@ -27,15 +27,27 @@ def test_each_export_is_the_module_object():
             assert getattr(gq3, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_runtime_does_not_import_numpy():
-    # Importing numpy would more than double the start-up time of a gq3
-    # process.  -I ignores PYTHONPATH, so the source tree goes on sys.path
-    # by hand.
+def _modules_after_import(*flags: str) -> set[str]:
+    # The modules loaded once ``import gq3, gq3.cli`` is done.  -I ignores PYTHONPATH,
+    # so the source tree goes on sys.path by hand; -B leaves no bytecode cache behind.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import gq3, gq3.cli; print('numpy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
+            "import gq3, gq3.cli; print(*sys.modules)")
+    done = subprocess.run([sys.executable, *flags, "-B", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return set(done.stdout.split())
+
+
+def test_runtime_does_not_import_numpy():
+    # Importing numpy would more than double the start-up time of a gq3 process.
+    assert "numpy" not in _modules_after_import("-I")
+
+
+def test_runtime_imports_neither_dataclasses_nor_typing():
+    # Without site (-S) nothing but gq3 loads them: dataclasses pulls in inspect,
+    # and with it the largest part of the import time of gq3.
+    loaded = _modules_after_import("-I", "-S")
+    assert "gq3.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "numpy"}
 
 
 def _readme_tour() -> list[tuple[str, str | None]]:
