@@ -258,8 +258,9 @@ class OpSpec(_Record):
     rebinding the attribute (as a tracer does) reaches the CLI too.  It
     receives the operands in order (the request's parameter triple when the
     op has none), then the integer options named in ``ints``.  A request's
-    tolerance is passed as keyword ``tol``; an op without one rejects it.
-    The result is written under ``tag``.
+    tolerance is passed under the keyword that ``tol`` names (``unit_tol`` or
+    ``axis_tol``); an op whose ``tol`` is None rejects it.  The result is
+    written under ``tag``.
     """
 
     __match_args__ = ("operands", "summary", "owner", "name", "tag", "ints", "tol",

@@ -150,7 +150,8 @@ class ParamTriple(_Record):
         lam = lambda1, lambda2, lambda3
         _check_finite(self.__match_args__, lam, "")
         l1, l2, l3 = lam = tuple(map(float, lam))
-        # The kernels take _lam; the pairwise products l12, l13, l23 weigh product, norm, metric.
+        # The kernels take _lam and multiply l1 * l2 inline; the pairwise products l12, l13,
+        # l23 serve metric_eps, killing_matrix and outside callers.
         self.__dict__.update(lambda1=l1, lambda2=l2, lambda3=l3, _lam=lam,
                              l12=l1 * l2, l13=l1 * l3, l23=l2 * l3)
 

@@ -16,12 +16,10 @@ is what makes the all-positive families compact.
 
 from __future__ import annotations
 
-import math
-
 from .core import GQuat, GVec3, ParamTriple, bilinear_f, wedge
 from .errors import NotPositiveFamily
 from .matrices import Mat3, _skew_rows
-from .polar import UNIT_AXIS_TOL, _require_unit_axis
+from .polar import UNIT_AXIS_TOL, _cos_sin, _require_unit_axis
 
 __all__ = [
     "metric_eps",
@@ -129,7 +127,8 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
             f"rotation decomposition needs all lambdas > 0, got {axis.params.as_tuple()}")
     _require_unit_axis(axis, axis_tol, "axis")
     s = skew_of_axis(axis)
-    st, ct = math.sin(theta), 1.0 - math.cos(theta)
+    c, st = _cos_sin(theta)
+    ct = 1.0 - c
     # Entry by entry as (I + st*S) + ct*S^2: another order changes the last bits.
     return Mat3([[float(i == j) + st * a + ct * b for j, (a, b) in enumerate(zip(row, sq_row))]
                  for i, (row, sq_row) in enumerate(zip(s, s @ s))], axis.params)

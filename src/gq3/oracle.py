@@ -1,127 +1,112 @@
 """Brute-force reference paths used to cross-check every closed form.
 
-Each function here recomputes something the main modules produce from a
-formula, but by a deliberately different route: term-by-term table lookup
-instead of the expanded product, repeated multiplication instead of the angle
-map, literal conjugation of basis vectors instead of polynomial adjoint
-entries, and the trace definition of the Killing form instead of its
-multiple of the bilinear form.  They are slow and that is fine; their only
-job is to catch transcription errors.
+Every route rests on one primitive, the paper's multiplication table and its
+term-by-term product, and on no kernel or method of the modules it checks.
+They are slow and that is fine; their only job is to catch transcription errors.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import GQuat, GVec3, ParamTriple, _require_same_params
-from .lie import ad_matrix
+from .errors import NonFinite, ZeroNorm
 from .matrices import Mat3
 
-__all__ = [
-    "BasisExpansion",
-    "multiplication_table",
-    "mul_by_table",
-    "pow_by_repetition",
-    "conjugation_columns",
-    "killing_by_trace",
-]
+__all__ = ["multiplication_table", "mul_by_table", "pow_by_repetition",
+           "conjugation_columns", "killing_by_trace"]
 
 # Scalar-part residue allowed when conjugation should land back in the pure part.
 _PURE_RESIDUE_TOL = 1e-10
+# e_0 (the unit scalar) to e_3 as component tuples.
+_BASIS = [tuple(int(i == j) for i in range(4)) for j in range(4)]
 
 
-def multiplication_table(params: ParamTriple) -> dict[tuple[int, int], tuple[float, int]]:
-    """The literal 4x4 basis product table: (i, j) -> (coefficient, k).
-
-    Entry meaning: e_i * e_j = coefficient * e_k, with index 0 standing for
-    the unit scalar.  Every product of two basis words reduces to a single
-    weighted basis word, so the table is closed.
-    """
-    l1, l2, l3 = params.as_tuple()
+def _table(lam):
+    # The primitive, with _table_product: plain arithmetic over lam = (l1, l2, l3) and
+    # component tuples, with no float literal, so tests/test_proofs.py runs it on sympy.
+    l1, l2, l3 = lam
+    one = l1 ** 0
     return {
-        (0, 0): (1.0, 0), (0, 1): (1.0, 1), (0, 2): (1.0, 2), (0, 3): (1.0, 3),
-        (1, 0): (1.0, 1), (1, 1): (-l1 * l2, 0), (1, 2): (l1, 3), (1, 3): (-l2, 2),
-        (2, 0): (1.0, 2), (2, 1): (-l1, 3), (2, 2): (-l1 * l3, 0), (2, 3): (l3, 1),
-        (3, 0): (1.0, 3), (3, 1): (l2, 2), (3, 2): (-l3, 1), (3, 3): (-l2 * l3, 0),
+        (0, 0): (one, 0), (0, 1): (one, 1), (0, 2): (one, 2), (0, 3): (one, 3),
+        (1, 0): (one, 1), (1, 1): (-l1 * l2, 0), (1, 2): (l1, 3), (1, 3): (-l2, 2),
+        (2, 0): (one, 2), (2, 1): (-l1, 3), (2, 2): (-l1 * l3, 0), (2, 3): (l3, 1),
+        (3, 0): (one, 3), (3, 1): (l2, 2), (3, 2): (-l3, 1), (3, 3): (-l2 * l3, 0),
     }
 
 
-@dataclass
-class BasisExpansion:
-    """A quaternion written as a coefficient map over the basis words 1, e1, e2, e3."""
+def _table_product(lam, a, b):
+    # All 16 term pairs through the table, each sum from an exact +0 in the table's order.
+    out = [0, 0, 0, 0]
+    for (i, j), (w, k) in _table(lam).items():
+        out[k] += a[i] * b[j] * w
+    return out
 
-    params: ParamTriple
-    coeffs: dict[int, float] = field(default_factory=lambda: {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0})
 
-    @classmethod
-    def from_quat(cls, p: GQuat) -> "BasisExpansion":
-        return cls(p.params, {0: p.a0, 1: p.a1, 2: p.a2, 3: p.a3})
+def _conj(a):
+    return (a[0], -a[1], -a[2], -a[3])
 
-    def to_quat(self) -> GQuat:
-        return GQuat(self.coeffs[0], self.coeffs[1], self.coeffs[2], self.coeffs[3], self.params)
 
-    def add_term(self, k: int, c: float) -> None:
-        self.coeffs[k] += c
+def _bracket(lam, u, v):
+    return [s - t for s, t in zip(_table_product(lam, u, v), _table_product(lam, v, u))]
+
+
+def _inverse(lam, a):
+    # conj(a) over the table norm, the scalar part of a*conj(a); null (ZeroNorm) when at
+    # most 1e-12 times the sum of its terms' sizes, the table norm of |a| over |lam|.
+    n = _table_product(lam, a, _conj(a))[0]
+    mags = tuple(map(abs, a))
+    size = _table_product(tuple(map(abs, lam)), mags, _conj(mags))[0]
+    if not math.isfinite(size):
+        raise NonFinite("norm overflows")
+    if abs(n) <= 1e-12 * size:
+        raise ZeroNorm(f"quaternion {a} has norm {n}, not invertible")
+    return tuple(c / n for c in _conj(a))
+
+
+def multiplication_table(params: ParamTriple) -> dict[tuple[int, int], tuple[float, int]]:
+    """The literal, closed basis product table: (i, j) -> (w, k) for e_i * e_j = w * e_k."""
+    return _table(params.as_tuple())
 
 
 def mul_by_table(p: GQuat, q: GQuat) -> GQuat:
-    """Product by expanding all 16 basis term pairs through the table.
-
-    Never uses the closed-form component expansion; this is the independent
-    route the expansion is checked against.
-    """
+    """Product by expanding all 16 basis term pairs through the table."""
     _require_same_params(p.params, q.params)
-    table = multiplication_table(p.params)
-    pe = BasisExpansion.from_quat(p)
-    qe = BasisExpansion.from_quat(q)
-    out = BasisExpansion(p.params)
-    for i, ci in pe.coeffs.items():
-        for j, cj in qe.coeffs.items():
-            w, k = table[(i, j)]
-            out.add_term(k, ci * cj * w)
-    return out.to_quat()
+    return GQuat(*_table_product(p.params.as_tuple(), p.components, q.components), p.params)
 
 
 def pow_by_repetition(p: GQuat, n: int) -> GQuat:
-    """n-fold left-associated product; inverse chain for negative n.
-
-    Raises ZeroNorm for negative exponents of a null quaternion.
-    """
+    """n-fold left-associated table product; inverse chain (ZeroNorm if null) for n < 0."""
     if not isinstance(n, numbers.Integral):
         raise TypeError(f"exponent must be an integer, got {type(n).__name__}")
-    base = p if n >= 0 else p.inverse()
-    acc = GQuat.one(p.params)
+    lam = p.params.as_tuple()
+    base = p.components if n >= 0 else _inverse(lam, p.components)
+    acc = _BASIS[0]
     for _ in range(abs(n)):
-        acc = acc * base
-    return acc
+        acc = _table_product(lam, acc, base)
+    return GQuat(*acc, p.params)
 
 
 def conjugation_columns(p: GQuat) -> Mat3:
-    """Adjoint matrix built by literally conjugating each basis vector.
+    """Adjoint matrix by literal conjugation: column j is p * e_j * p^(-1), two table products.
 
-    Column j is the vector part of p * e_j * p^(-1); the scalar parts must
-    come out (numerically) zero, which is verified here as an internal sanity
-    check.  Raises ZeroNorm on null p.
+    Its scalar parts must come out (numerically) zero, which is checked here; ZeroNorm on null p.
     """
-    pinv = p.inverse()
+    lam, a = p.params.as_tuple(), p.components
+    a_inv = _inverse(lam, a)
     cols = []
     for j in (1, 2, 3):
-        r = p * GQuat.basis(j, p.params) * pinv
-        scale = 1.0 + max(abs(r.a1), abs(r.a2), abs(r.a3))
-        if abs(r.a0) > _PURE_RESIDUE_TOL * scale:
-            raise ArithmeticError(
-                f"conjugated basis vector has scalar residue {r.a0}; "
-                "conjugation should preserve the pure part")
-        cols.append((r.a1, r.a2, r.a3))
+        r0, *r = _table_product(lam, _table_product(lam, a, _BASIS[j]), a_inv)
+        if abs(r0) > _PURE_RESIDUE_TOL * (1.0 + max(map(abs, r))):
+            raise ArithmeticError(f"conjugated basis vector has scalar residue {r0}; "
+                                  "conjugation should preserve the pure part")
+        cols.append(r)
     return Mat3(list(zip(*cols)), p.params)
 
 
 def killing_by_trace(x: GVec3, y: GVec3) -> float:
-    """Killing form by its definition, the trace of ad_matrix(x) @ ad_matrix(y)."""
+    """The trace of v -> [x, [y, v]]: coordinate j of table commutators, summed from +0."""
     _require_same_params(x.params, y.params)
-    ax = np.asarray(ad_matrix(x), dtype=float)
-    ay = np.asarray(ad_matrix(y), dtype=float)
-    return float(np.trace(ax @ ay))
+    lam, xq, yq = x.params.as_tuple(), (0, *x.components), (0, *y.components)
+    return sum(_bracket(lam, xq, _bracket(lam, yq, _BASIS[j]))[j] for j in (1, 2, 3))

@@ -66,10 +66,11 @@ class PolarForm(_Record):
 
     def compose(self) -> GQuat:
         """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis; NonFinite on overflow."""
-        c = self.modulus * math.cos(self.theta)
+        c, s = _cos_sin(self.theta)
+        c = self.modulus * c
         if self.axis is None:
             return GQuat.scalar(c, self.params)
-        s = self.modulus * math.sin(self.theta)
+        s = self.modulus * s
         return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
 
 
@@ -129,10 +130,17 @@ def polar_matrix(axis: GVec3, theta: float) -> Mat4:
     Written directly in terms of the angle so that substituting n*theta gives
     the nth power and (theta + 2*pi*k)/n gives the nth roots.
     """
-    s = math.sin(theta)
-    rows = _mult_rows(axis.params.as_tuple(),
-                      (math.cos(theta), s * axis.a1, s * axis.a2, s * axis.a3), 1)
+    c, s = _cos_sin(theta)
+    rows = _mult_rows(axis.params.as_tuple(), (c, s * axis.a1, s * axis.a2, s * axis.a3), 1)
     return Mat4(rows, axis.params)
+
+
+def _cos_sin(theta: float) -> tuple[float, float]:
+    # math raises a bare ValueError at +-inf; a NaN passes on to the value built from it.
+    try:
+        return math.cos(theta), math.sin(theta)
+    except ValueError:
+        raise NonFinite(f"angle {theta} is not finite") from None
 
 
 def _require_int(n) -> None:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from gq3 import GQuat, ParamTriple, ZeroNorm, adjoint_group
+import gq3.oracle
+from gq3 import GQuat, GVec3, ParamTriple, ZeroNorm, adjoint_group, core, lie, matrices
 from gq3.oracle import (
-    BasisExpansion,
     conjugation_columns,
+    killing_by_trace,
     mul_by_table,
     multiplication_table,
     pow_by_repetition,
@@ -39,12 +40,6 @@ def test_table_matches_closed_form_product(rng, params):
     for _ in range(40):
         p, q = random_quat(rng, params), random_quat(rng, params)
         assert quat_close(mul_by_table(p, q), p * q, 1e-12)
-
-
-def test_basis_expansion_round_trip():
-    p = GQuat(1.0, -2.0, 3.0, -4.0, H)
-    exp = BasisExpansion.from_quat(p)
-    assert exp.to_quat().components == p.components
 
 
 def test_repetition_trivial_exponents(rng):
@@ -99,3 +94,37 @@ def test_conjugation_rejects_null():
     split = ParamTriple.split()
     with pytest.raises(ZeroNorm):
         conjugation_columns(GQuat(1.0, 0.0, 1.0, 0.0, split))
+
+
+# The kernels and methods the oracle routes are compared against.
+CHECKED = [(core, "_product"), (core, "_wedge"), (core, "_dot"), (core, "_bilinear"),
+           (matrices, "_mult_rows"), (matrices, "_skew_rows"),
+           (lie, "_adjoint_polynomials"), (lie, "ad_matrix"),
+           (GQuat, "__mul__"), (GQuat, "inverse"), (GQuat, "norm"), (GQuat, "dot"),
+           (GQuat, "conj")]
+
+
+def _checked_code_called(*args, **kwargs):
+    raise AssertionError("an oracle route called the code it checks")
+
+
+def test_routes_use_none_of_the_code_they_check(monkeypatch):
+    params = ParamTriple(1.0, 0.7, -1.3)
+    p, null = GQuat(0.5, -1.5, 2.5, -3.5, params), GQuat(1.0, 0.0, 1.0, 0.0, ParamTriple.split())
+    x, y = GVec3(1.0, -2.0, 0.5, params), GVec3(-0.25, 3.0, 1.5, params)
+    for owner, name in CHECKED:
+        assert name not in vars(gq3.oracle)
+        monkeypatch.setattr(owner, name, _checked_code_called)
+    with pytest.raises(AssertionError):
+        p * p  # the patches are live
+    multiplication_table(params)
+    mul_by_table(p, p)
+    pow_by_repetition(p, 3)
+    pow_by_repetition(p, -2)
+    conjugation_columns(p)
+    killing_by_trace(x, y)
+    # The null test is the oracle's own as well.
+    with pytest.raises(ZeroNorm):
+        pow_by_repetition(null, -1)
+    with pytest.raises(ZeroNorm):
+        conjugation_columns(null)

@@ -4,7 +4,10 @@ import ast
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
+
+import pytest
 
 import gq3
 from gq3 import core, errors, lie, matrices, polar
@@ -27,11 +30,14 @@ def test_each_export_is_the_module_object():
             assert getattr(gq3, name) is getattr(module, name), f"{module.__name__}.{name}"
 
 
-def _modules_after_import(*flags: str) -> set[str]:
-    # The modules loaded once ``import gq3, gq3.cli`` is done.  -I ignores PYTHONPATH,
-    # so the source tree goes on sys.path by hand; -B leaves no bytecode cache behind.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import gq3, gq3.cli; print(*sys.modules)")
+def _modules_after_import(*flags: str, block_numpy: bool = False) -> set[str]:
+    # The modules loaded once ``import gq3, gq3.cli, gq3.oracle`` is done.  -I ignores
+    # PYTHONPATH, so the source tree goes on sys.path by hand; -B leaves no bytecode
+    # cache behind.  A blocked numpy makes any import of it fail.
+    block = "sys.modules['numpy'] = None; " if block_numpy else ""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); " + block +
+            "import gq3, gq3.cli, gq3.oracle; "
+            "print(*[name for name, module in sys.modules.items() if module])")
     done = subprocess.run([sys.executable, *flags, "-B", "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
     return set(done.stdout.split())
@@ -44,10 +50,22 @@ def test_runtime_does_not_import_numpy():
 
 def test_runtime_imports_neither_dataclasses_nor_typing():
     # Without site (-S) nothing but gq3 loads them: dataclasses pulls in inspect,
-    # and with it the largest part of the import time of gq3.
-    loaded = _modules_after_import("-I", "-S")
-    assert "gq3.cli" in loaded
+    # and with it the largest part of the import time of gq3.  The reference routes
+    # of gq3.oracle need no more than the runtime: they import with numpy absent.
+    loaded = _modules_after_import("-I", "-S", block_numpy=True)
+    assert {"gq3.cli", "gq3.oracle"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "numpy"}
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_version_is_stated_once():
+    # pyproject.toml names no version of its own; setuptools reads gq3.__version__.
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    path = ROOT / "pyproject.toml"
+    project = tomllib.loads(path.read_text(encoding="utf-8"))["project"]
+    assert "version" not in project and "version" in project["dynamic"]
+    assert read_configuration(path)["project"]["version"] == gq3.__version__
 
 
 def _readme_tour() -> list[tuple[str, str | None]]:

@@ -5,7 +5,10 @@ Each closed form is a private kernel: plain arithmetic over a triple
 Here the same functions run on sympy symbols, so every identity below is
 proved for all parameter triples and all components at once, by expanding
 the difference of the two sides to zero.  The kernels are imported, never
-retyped: this file writes only the other side of each identity.
+retyped: this file writes only the other side of each identity.  The first
+proof ties the product and multiplication-matrix kernels to the paper's
+definition, the multiplication table, through ``gq3.oracle``'s table product,
+so every later proof rests on a kernel checked against that definition.
 """
 
 import sympy as sp
@@ -13,6 +16,7 @@ import sympy as sp
 from gq3.core import _bilinear, _dot, _product, _wedge
 from gq3.lie import _adjoint_polynomials, _killing_of_form
 from gq3.matrices import _eigen, _mult_rows, _skew_rows
+from gq3.oracle import _table_product
 
 LAM = sp.symbols("l1 l2 l3")
 P, Q, R = (sp.symbols(f"{name}0:4") for name in "pqr")
@@ -48,6 +52,14 @@ def right(a):
 
 def pure(u):
     return (0, *u)
+
+
+def test_product_and_multiplication_rows_follow_the_table():
+    assert vanishes(sp.Matrix(mul(P, Q)) - sp.Matrix(_table_product(LAM, P, Q)))
+    # Column j of the left (right) matrix is the product with e_j on the right (left).
+    for j, e in enumerate(BASIS):
+        assert vanishes(left(P)[:, j] - sp.Matrix(_table_product(LAM, P, e)),
+                        right(P)[:, j] - sp.Matrix(_table_product(LAM, e, P)))
 
 
 def test_product_is_associative():

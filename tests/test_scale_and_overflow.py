@@ -17,13 +17,19 @@ from gq3 import (
     AlgebraError,
     CongruenceViolation,
     GQuat,
+    GVec3,
     Mat3,
     NonFinite,
     ParamTriple,
+    PolarForm,
     adjoint_group,
+    adjoint_rodrigues,
     demoivre_pow,
     eigenvectors,
+    euler_exp,
+    euler_exp_matrix,
     matrix_pow,
+    polar_matrix,
     scaled_power_relation,
     to_polar,
 )
@@ -57,6 +63,21 @@ def test_non_finite_is_an_algebra_error_and_a_value_error():
 def test_overflow_raises_non_finite(compute):
     with pytest.raises(NonFinite):
         compute()
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("compute", [
+    euler_exp,
+    euler_exp_matrix,
+    polar_matrix,
+    adjoint_rodrigues,
+    lambda axis, theta: PolarForm(2.0, theta, axis, H).compose(),
+    lambda axis, theta: PolarForm(2.0, theta, None, H).compose(),
+], ids=["exp", "exp-matrix", "polar-matrix", "rodrigues", "compose", "compose-scalar"])
+def test_non_finite_angle_raises_non_finite(compute, theta):
+    # math.cos(inf) raises a bare ValueError("math domain error"); NaN passes through it.
+    with pytest.raises(NonFinite):
+        compute(GVec3(1.0, 0.0, 0.0, H), theta)
 
 
 def test_congruence_violation_with_a_long_exponent_is_typed():
