@@ -12,7 +12,7 @@ and writes one response line per request, in order, without stopping at failures
     gq3 batch requests.ndjson
 
 stdout carries only JSON; diagnostics go to stderr.  Exit codes: 0 success,
-1 domain error, 2 malformed input.
+1 domain error or stdout closed early, 2 malformed input.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import contextlib
 import json
 import math
 import operator
+import os
 import struct
 import sys
 from collections.abc import Callable, Sequence
@@ -396,8 +397,11 @@ def execute_request(request: dict) -> tuple[dict, int]:
     return {"status": "ok", "result": result}, EXIT_OK
 
 
-# One C encoder for every line: json.dumps with arguments builds one per call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+# One C encoder for every line: json.dumps with arguments builds one per call.  A
+# response is a tree of fresh lists and dicts and the library's immutable tuples, so it
+# cannot contain itself: the circular-reference pass (a dict insert and delete per
+# container) is skipped.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
 def _emit(response: dict, out) -> None:
@@ -552,7 +556,15 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (gq3 batch FILE | head -1).  Python flushes
+        # stdout again at exit; pointing it at devnull keeps that flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

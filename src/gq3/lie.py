@@ -71,7 +71,7 @@ def adjoint_group(p: GQuat) -> Mat3:
     """
     n = p._nonnull_norm()
     rows = _adjoint_polynomials(p.params.as_tuple(), p.components)
-    return Mat3([[e / n for e in row] for row in rows], p.params)
+    return Mat3._of_rows(tuple([(a / n, b / n, c / n) for a, b, c in rows]), p.params)
 
 
 def adjoint_closed_form(p: GQuat) -> Mat3:
@@ -83,7 +83,7 @@ def adjoint_closed_form(p: GQuat) -> Mat3:
     metric by norm(p)^2 and has determinant norm(p)^3 for every p, unit or
     not.
     """
-    return Mat3(_adjoint_polynomials(p.params.as_tuple(), p.components), p.params)
+    return Mat3._of_rows(_adjoint_polynomials(p.params.as_tuple(), p.components), p.params)
 
 
 def _adjoint_polynomials(lam, a):
@@ -91,17 +91,17 @@ def _adjoint_polynomials(lam, a):
     # its components, equal to a*e_j*conj(a) in column j.
     l1, l2, l3 = lam
     a0, a1, a2, a3 = a
-    return [
-        [a0 * a0 + l1 * l2 * a1 * a1 - l1 * l3 * a2 * a2 - l2 * l3 * a3 * a3,
+    return (
+        (a0 * a0 + l1 * l2 * a1 * a1 - l1 * l3 * a2 * a2 - l2 * l3 * a3 * a3,
          2.0 * l1 * l3 * a1 * a2 - 2.0 * l3 * a0 * a3,
-         2.0 * l2 * l3 * a1 * a3 + 2.0 * l3 * a0 * a2],
-        [2.0 * l1 * l2 * a1 * a2 + 2.0 * l2 * a0 * a3,
+         2.0 * l2 * l3 * a1 * a3 + 2.0 * l3 * a0 * a2),
+        (2.0 * l1 * l2 * a1 * a2 + 2.0 * l2 * a0 * a3,
          a0 * a0 - l1 * l2 * a1 * a1 + l1 * l3 * a2 * a2 - l2 * l3 * a3 * a3,
-         2.0 * l2 * l3 * a2 * a3 - 2.0 * l2 * a0 * a1],
-        [2.0 * l1 * l2 * a1 * a3 - 2.0 * l1 * a0 * a2,
+         2.0 * l2 * l3 * a2 * a3 - 2.0 * l2 * a0 * a1),
+        (2.0 * l1 * l2 * a1 * a3 - 2.0 * l1 * a0 * a2,
          2.0 * l1 * l3 * a2 * a3 + 2.0 * l1 * a0 * a1,
-         a0 * a0 - l1 * l2 * a1 * a1 - l1 * l3 * a2 * a2 + l2 * l3 * a3 * a3],
-    ]
+         a0 * a0 - l1 * l2 * a1 * a1 - l1 * l3 * a2 * a2 + l2 * l3 * a3 * a3),
+    )
 
 
 def skew_of_axis(s: GVec3) -> Mat3:
@@ -112,7 +112,7 @@ def skew_of_axis(s: GVec3) -> Mat3:
     the generator appearing in the rotation-style decomposition of the
     adjoint action.
     """
-    return Mat3(_skew_rows(s.params.as_tuple(), s.components), s.params)
+    return Mat3._of_rows(_skew_rows(s.params.as_tuple(), s.components), s.params)
 
 
 def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat3:
@@ -140,7 +140,8 @@ def ad_matrix(x: GVec3) -> Mat3:
     Built as the skew of the doubled vector: doubling is exact, so the
     entries equal 2 * skew_of_axis(x) bit for bit.
     """
-    return Mat3(_skew_rows(x.params.as_tuple(), (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)), x.params)
+    return Mat3._of_rows(_skew_rows(x.params.as_tuple(), (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)),
+                         x.params)
 
 
 def _killing_of_form(f: float) -> float:

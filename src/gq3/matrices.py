@@ -49,7 +49,12 @@ class _TaggedMatrix(tuple):
     shape: tuple[int, int] = ()
 
     def __new__(cls, data, params: ParamTriple | None = None):
-        rows = _float_rows(data, cls.shape[0], cls.__name__)
+        return cls._of_rows(_float_rows(data, cls.shape[0], cls.__name__), params)
+
+    @classmethod
+    def _of_rows(cls, rows, params):
+        # The matrix of row tuples of floats that a kernel just built, or that __new__
+        # copied: the one finiteness pass, no float() copy, no shape check.
         if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise NonFinite(f"{cls.__name__} entries must be finite")
         obj = tuple.__new__(cls, rows)
@@ -73,8 +78,9 @@ class _TaggedMatrix(tuple):
         if type(other) is not type(self):
             return NotImplemented
         cols = tuple(zip(*other))
-        return type(self)([[reduce(add, map(mul, row, col), 0.0) for col in cols] for row in self],
-                          self.params)
+        return self._of_rows(
+            tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in cols]) for row in self]),
+            self.params)
 
     def tolist(self) -> list[list[float]]:
         return [list(row) for row in self]
@@ -113,7 +119,7 @@ def left_matrix(p: GQuat) -> Mat4:
     Additive and multiplicative in p: the map p -> left_matrix(p) is an
     injective ring homomorphism into the 4x4 real matrices.
     """
-    return Mat4(_mult_rows(p.params.as_tuple(), p.components, 1), p.params)
+    return Mat4._of_rows(_mult_rows(p.params.as_tuple(), p.components, 1), p.params)
 
 
 def right_matrix(p: GQuat) -> Mat4:
@@ -122,16 +128,16 @@ def right_matrix(p: GQuat) -> Mat4:
     Anti-multiplicative in p, and commutes with every left-multiplication
     matrix (left and right multiplications always commute).
     """
-    return Mat4(_mult_rows(p.params.as_tuple(), p.components, -1), p.params)
+    return Mat4._of_rows(_mult_rows(p.params.as_tuple(), p.components, -1), p.params)
 
 
 def _skew_rows(lam, s):
     # Kernel (see core): rows of the weighted skew S(s); S(s) @ v = core._wedge(lam, s, v).
     l1, l2, l3 = lam
     s1, s2, s3 = s
-    return [[0.0, -l3 * s3, l3 * s2],
-            [l2 * s3, 0.0, -l2 * s1],
-            [-l1 * s2, l1 * s1, 0.0]]
+    return ((0.0, -l3 * s3, l3 * s2),
+            (l2 * s3, 0.0, -l2 * s1),
+            (-l1 * s2, l1 * s1, 0.0))
 
 
 def _mult_rows(lam, a, side):
@@ -141,10 +147,10 @@ def _mult_rows(lam, a, side):
     a0, a1, a2, a3 = a
     skew = _skew_rows(lam, (side * a1, side * a2, side * a3))
     (_, s01, s02), (s10, _, s12), (s20, s21, _) = skew
-    return [[a0, -l1 * l2 * a1, -l1 * l3 * a2, -l2 * l3 * a3],
-            [a1, a0, s01, s02],
-            [a2, s10, a0, s12],
-            [a3, s20, s21, a0]]
+    return ((a0, -l1 * l2 * a1, -l1 * l3 * a2, -l2 * l3 * a3),
+            (a1, a0, s01, s02),
+            (a2, s10, a0, s12),
+            (a3, s20, s21, a0))
 
 
 def base_matrices(params: ParamTriple) -> tuple[Mat4, Mat4, Mat4, Mat4]:

@@ -132,7 +132,7 @@ def polar_matrix(axis: GVec3, theta: float) -> Mat4:
     """
     c, s = _cos_sin(theta)
     rows = _mult_rows(axis.params.as_tuple(), (c, s * axis.a1, s * axis.a2, s * axis.a3), 1)
-    return Mat4(rows, axis.params)
+    return Mat4._of_rows(rows, axis.params)
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
@@ -264,10 +264,10 @@ def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> RootSe
     _require_int(n)
     _check_root_degree(n)
     form = _unit_polar(p, unit_tol)
-    roots = tuple(
-        polar_matrix(form.axis, (form.theta + 2.0 * math.pi * k) / n)
-        for k in range(n)
-    )
+    axis, theta = form.axis, form.theta
+    # theta + 2*pi*k already associated as theta + (2*pi)*k: hoisting 2*pi keeps every bit.
+    two_pi = 2.0 * math.pi
+    roots = tuple([polar_matrix(axis, (theta + two_pi * k) / n) for k in range(n)])
     return RootSet(degree=n, roots=roots)
 
 

@@ -3,8 +3,11 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 from gq3 import cli, errors
 from gq3.cli import OPS, RequestError, _emit, execute_request, main, parse_params
 from gq3.polar import MAX_ROOT_DEGREE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -455,6 +460,27 @@ def test_batch_reads_standard_input(tmp_path):
     assert out.getvalue() == from_file
     assert len(from_file.splitlines()) == len(BATCH_ERROR_REQUESTS) + 1
     assert not stdin.closed
+
+
+def test_batch_into_a_closed_pipe_exits_quietly(tmp_path):
+    # gq3 batch FILE | head -1, on far more output than a pipe holds: the reader
+    # takes one line and closes its end while the batch is still writing.
+    line = json.dumps({"params": [1, 1, 1], "op": "left-matrix", "operands": ["1,2,3,4"]})
+    path = tmp_path / "large.ndjson"
+    path.write_text((line + "\n") * 20_000)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with subprocess.Popen([sys.executable, "-B", "-m", "gq3.cli", "batch", str(path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+    assert json.loads(first)["status"] == "ok"
+    assert "Traceback" not in err and err == ""
+    assert code == cli.EXIT_DOMAIN_ERROR  # README: 1, also when stdout closes early
 
 
 def test_batch_rejects_global_params(tmp_path):

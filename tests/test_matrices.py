@@ -9,6 +9,7 @@ import pytest
 from gq3 import (
     DegenerateAxis,
     GQuat,
+    GVec3,
     Mat3,
     Mat4,
     NonFinite,
@@ -21,7 +22,10 @@ from gq3 import (
     left_matrix,
     right_matrix,
 )
-from helpers import FAMILIES, as_array, random_quat, rel_close
+from gq3.lie import adjoint_closed_form, adjoint_group, ad_matrix, skew_of_axis
+from gq3.matrices import _TaggedMatrix
+from gq3.polar import euler_exp_matrix, matrix_pow, matrix_roots, polar_matrix
+from helpers import FAMILIES, as_array, random_quat, random_vec, rel_close
 
 H = ParamTriple.hamilton()
 
@@ -417,3 +421,90 @@ def test_matrix_round_trips_through_numpy(rng, cls, size):
     assert np.array_equal(arr, data)
     assert cls(arr, H) == m
     assert np.asarray(m, dtype=np.float32).dtype == np.float32
+
+
+# --- matrices built from kernel rows ------------------------------------------------------
+# left_matrix, right_matrix, the polar builders, the adjoint builders, the skews and ``@``
+# take rows a kernel just built: one finiteness pass, no float() copy and no shape check.
+
+P235 = ParamTriple(2.0, 3.0, 5.0)
+
+
+def _kernel_built(params, rng):
+    """(name, matrix) for every builder on kernel rows, over one triple."""
+    p, q = random_quat(rng, params), random_quat(rng, params)
+    v = random_vec(rng, params)
+    built = [
+        ("left_matrix", left_matrix(p)),
+        ("right_matrix", right_matrix(p)),
+        *((f"base_matrices[{i}]", m) for i, m in enumerate(base_matrices(params))),
+        ("polar_matrix", polar_matrix(v, 0.7)),
+        ("adjoint_closed_form", adjoint_closed_form(p)),
+        ("skew_of_axis", skew_of_axis(v)),
+        ("ad_matrix", ad_matrix(v)),
+        ("Mat4 @", left_matrix(p) @ right_matrix(q)),
+        ("Mat3 @", skew_of_axis(v) @ adjoint_closed_form(q)),
+        ("adjoint_group", adjoint_group(p)),
+    ]
+    if params.l12 > 0.0:
+        # cos(t) + sin(t)/sqrt(l12)*e1 is unit and elliptic.  Quarter and split-semi
+        # (l12 <= 0) have no elliptic element; no polar builder applies there.
+        t = 0.7
+        unit = GQuat(math.cos(t), math.sin(t) / math.sqrt(params.l12), 0.0, 0.0, params)
+        axis = GVec3(1.0 / math.sqrt(params.l12), 0.0, 0.0, params)
+        built += [("matrix_pow", matrix_pow(unit, -5)),
+                  ("euler_exp_matrix", euler_exp_matrix(axis, t)),
+                  *((f"matrix_roots[{k}]", m) for k, m in enumerate(matrix_roots(unit, 8).roots))]
+    return built
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+def test_kernel_built_matrices_keep_the_public_contract(rng, params):
+    for name, m in _kernel_built(params, rng):
+        public = type(m)(m.tolist(), m.params)
+        assert [x.hex() for row in m for x in row] == [x.hex() for row in public for x in row], name
+        assert all(type(row) is tuple and len(row) == m.shape[0] for row in m), name
+        assert all(type(x) is float for row in m for x in row), name
+        assert len(m) == m.shape[0] and m == public, name
+        assert m.params is params, name
+        with pytest.raises(TypeError):
+            m[0] = public[0]
+        with pytest.raises(TypeError):
+            m[0][0] = 1.0
+        untagged = type(m)(m.tolist())
+        assert (m @ untagged).params is params and (untagged @ m).params is None, name
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: left_matrix(GQuat(0, 0, 0, 1e308, P235)), "Mat4"),
+    (lambda: right_matrix(GQuat(0, 0, 0, 1e308, P235)), "Mat4"),
+    (lambda: skew_of_axis(GVec3(1e308, 0, 0, P235)), "Mat3"),
+    (lambda: ad_matrix(GVec3(1e308, 0, 0, P235)), "Mat3"),
+    (lambda: polar_matrix(GVec3(1e308, 0, 0, P235), 1.0), "Mat4"),
+    (lambda: adjoint_closed_form(GQuat(1e200, 0, 0, 0, P235)), "Mat3"),
+    (lambda: Mat3(np.eye(3) * 1e200, P235) @ Mat3(np.eye(3) * 1e200, P235), "Mat3"),
+    (lambda: Mat4(np.eye(4) * 1e200, P235) @ Mat4(np.eye(4) * 1e200, P235), "Mat4"),
+], ids=["left_matrix", "right_matrix", "skew_of_axis", "ad_matrix", "polar_matrix",
+        "adjoint_closed_form", "Mat3 @", "Mat4 @"])
+def test_kernel_built_matrices_still_refuse_overflow(build, message):
+    with pytest.raises(NonFinite, match=f"^{message} entries must be finite$"):
+        build()
+
+
+def test_kernel_built_matrices_skip_the_public_constructor(monkeypatch):
+    calls = []
+    public_new = vars(_TaggedMatrix)["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(cls)
+        return public_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(_TaggedMatrix, "__new__", staticmethod(counting_new))
+    unit = GQuat(-0.5, 0.5, 0.5, 0.5, H)
+    assert len(matrix_roots(unit, 8).roots) == 8
+    matrix_pow(unit, 3)
+    left_matrix(unit)
+    adjoint_group(unit)
+    assert calls == []
+    Mat4(np.eye(4), H)
+    assert calls == [Mat4]
