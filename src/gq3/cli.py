@@ -399,8 +399,7 @@ def execute_request(request: dict) -> tuple[dict, int]:
 
 # One C encoder for every line: json.dumps with arguments builds one per call.  A
 # response is a tree of fresh lists and dicts and the library's immutable tuples, so it
-# cannot contain itself: the circular-reference pass (a dict insert and delete per
-# container) is skipped.
+# cannot contain itself: no circular-reference pass (a dict insert and delete per container).
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
