@@ -17,7 +17,6 @@ stdout carries only JSON; diagnostics go to stderr.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import json
 import math
@@ -30,18 +29,9 @@ from collections.abc import Callable, Sequence
 # The op table names its library functions as text ("polar.matrix_pow",
 # "wedge"), resolved in this module's namespace: these imports serve it.
 from . import lie, matrices, polar
-from .core import (
-    GQuat,
-    GVec3,
-    ParamTriple,
-    _Record,
-    bilinear_f,
-    family,
-    wedge,
-    wedge_triple_left,
-    wedge_triple_right,
-)
-from .errors import AlgebraError, NonFinite
+from .core import (GQuat, GVec3, ParamTriple, _Record, bilinear_f, family, wedge,
+                   wedge_triple_left, wedge_triple_right)
+from .errors import AlgebraError
 
 __all__ = ["main", "console_main", "execute_request", "OPS"]
 
@@ -198,34 +188,20 @@ def _tolerance(options: dict, op_name: str, keyword: str | None) -> dict:
 # --- JSON encoding of results ------------------------------------------------
 
 
-def _components(x: GQuat | GVec3) -> list[float]:
-    return list(x.components)
-
-
 def _as_is(x):
     return x
 
 
-# Quaternion, vector and matrix results were checked for finite entries when
-# they were built; these two check the floats no constructor saw.
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise NonFinite(f"result {x} is not finite")
-    return x
+# json writes a tuple as an array: components, matrix rows and (re, im) go out as they are.
+_components = operator.attrgetter("components")
+_complex = operator.attrgetter("real", "imag")
 
 
-def _complex(z: complex) -> list[float]:
-    if not cmath.isfinite(z):
-        raise NonFinite(f"result {z} is not finite")
-    return [z.real, z.imag]
-
-
-# Result tag -> how the value under that tag is written.  Matrices are tuples
-# of row tuples, which json writes as nested arrays.
+# Result tag -> how the value under that tag is written.
 _ENCODE: dict[str, Callable[[object], object]] = {
     "quat": _components,
     "vector": _components,
-    "scalar": _finite,
+    "scalar": _as_is,
     "bool": _as_is,
     "period": _as_is,
     "mat3": _as_is,
@@ -235,7 +211,7 @@ _ENCODE: dict[str, Callable[[object], object]] = {
     "polar": lambda form: {
         "modulus": form.modulus,
         "theta": form.theta,
-        "axis": list(form.axis.components) if form.axis is not None else None,
+        "axis": form.axis.components if form.axis is not None else None,
     },
     # two conjugate values, each of algebraic multiplicity two
     "complex_pair": lambda pair: [_complex(e.value) for e in pair],
@@ -243,8 +219,7 @@ _ENCODE: dict[str, Callable[[object], object]] = {
         {"value": _complex(e.value), "vector": [_complex(z) for z in e.vector]}
         for e in pairs
     ],
-    "char_poly": lambda cp: {"coefficients": list(map(_finite, cp.coefficients)),
-                             "quadratic": list(map(_finite, cp.quadratic))},
+    "char_poly": lambda cp: {"coefficients": cp.coefficients, "quadratic": cp.quadratic},
 }
 
 
@@ -407,7 +382,7 @@ def _emit(response: dict, out) -> None:
     try:
         text = _ENCODER.encode(response)
     except ValueError as exc:
-        # A non-finite float that no check above caught: still one valid line.
+        # A non-finite float the library let through (it checks them all): still one valid line.
         text = _ENCODER.encode(_error("non_finite", exc))
     out.write(text + "\n")
 

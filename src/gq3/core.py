@@ -64,6 +64,16 @@ def _vanishes(value: float, scale: float, what: str) -> bool:
     return abs(value) <= 1e-12 * scale
 
 
+def _finite(x, isfinite=math.isfinite):
+    """Return ``x``, a number a public function returns; raise NonFinite if it is inf or NaN.
+
+    A complex ``x`` takes ``isfinite=cmath.isfinite``, which costs twice ``math.isfinite``.
+    """
+    if not isfinite(x):
+        raise NonFinite(f"result {x} is not finite")
+    return x
+
+
 class _Record:
     """An immutable record: equality, hash, repr and match patterns over ``__match_args__``.
 
@@ -371,12 +381,12 @@ class GQuat(_Componentwise):
         """Scalar product a0*b0 + l12*a1*b1 + l13*a2*b2 + l23*a3*b3.
 
         Coincides with the scalar part of ``p * q.conj()`` and reduces to the
-        norm when both arguments agree.  A GVec3 argument raises TypeError.
+        norm when both arguments agree.  A GVec3 argument raises TypeError, overflow NonFinite.
         """
         if not isinstance(other, GQuat):
             raise TypeError(f"dot takes a GQuat, got {type(other).__name__}")
         _require_same_params(self.params, other.params)
-        return _dot(self.params._lam, self.components, other.components)
+        return _finite(_dot(self.params._lam, self.components, other.components))
 
 
 class GVec3(_Componentwise):
@@ -409,6 +419,11 @@ def bilinear_f(u: GVec3 | GQuat, v: GVec3 | GQuat) -> float:
     A ``GQuat`` argument stands for its vector part, so ``f(p, p)`` is the
     axis discriminant D of ``p``.
     """
+    return _finite(_bilinear_of(u, v))
+
+
+def _bilinear_of(u, v) -> float:
+    # bilinear_f before its finiteness check, for the gates that report an overflow themselves.
     _require_same_params(u.params, v.params)
     return _bilinear(u.params._lam, (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3))
 

@@ -16,7 +16,7 @@ is what makes the all-positive families compact.
 
 from __future__ import annotations
 
-from .core import GQuat, GVec3, ParamTriple, bilinear_f, wedge
+from .core import GQuat, GVec3, ParamTriple, _bilinear_of, _finite, wedge
 from .errors import NotPositiveFamily
 from .matrices import Mat3, _skew_rows
 from .polar import UNIT_AXIS_TOL, _cos_sin, _require_unit_axis
@@ -156,7 +156,7 @@ def killing_form(x: GVec3, y: GVec3) -> float:
     Evaluated by its closed form, -8 times the bilinear form; the trace
     definition is ``oracle.killing_by_trace``, which the tests compare against.
     """
-    return _killing_of_form(bilinear_f(x, y))
+    return _finite(_killing_of_form(_bilinear_of(x, y)))
 
 
 def killing_matrix(params: ParamTriple) -> Mat3:

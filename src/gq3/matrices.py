@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, mul
 
-from .core import GQuat, ParamTriple, _Record, _vanishes, bilinear_f
+from .core import GQuat, ParamTriple, _Record, _bilinear_of, _dot, _finite, _vanishes
 from .errors import DegenerateAxis, NonFinite
 
 __all__ = [
@@ -43,7 +43,7 @@ class _TaggedMatrix(tuple):
     arrays.  ``@`` between two matrices of the same shape is computed here,
     each entry summed left to right from 0.0, and keeps the tag of the left
     operand.  ``np.asarray(m)`` gives an ndarray; numpy is imported only then.
-    The tag is provenance only.
+    The tag is provenance only; it and every other attribute are read-only.
     """
 
     shape: tuple[int, int] = ()
@@ -58,8 +58,11 @@ class _TaggedMatrix(tuple):
         if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise NonFinite(f"{cls.__name__} entries must be finite")
         obj = tuple.__new__(cls, rows)
-        obj.params = params
+        obj.__dict__["params"] = params
         return obj
+
+    # A tuple subclass cannot have non-empty __slots__: frozen as the records are.
+    __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
 
     def __getitem__(self, key):
         if type(key) is tuple:
@@ -185,7 +188,7 @@ def det4(m) -> float:
         rest = tuple(c for c in cols if c != j)
         total += sign * rows[0][j] * _det3(rows, 1, 2, 3, *rest)
         sign = -sign
-    return total
+    return _finite(total)
 
 
 class CharPoly(_Record):
@@ -208,15 +211,16 @@ class CharPoly(_Record):
         acc = 0j
         for c in reversed(self.coefficients):
             acc = acc * t + c
-        return acc
+        return _finite(acc, cmath.isfinite)
 
 
 def char_poly(p: GQuat) -> CharPoly:
     """Characteristic polynomial (t^2 - 2*a0*t + norm(p))^2 of left_matrix(p)."""
     b = -2.0 * p.a0
-    c = p.norm()
+    c = _dot(p.params._lam, p.components, p.components)
     return CharPoly(
-        coefficients=(c * c, 2.0 * b * c, b * b + 2.0 * c, 2.0 * b, 1.0),
+        # Checked low to high; finite coefficients make the quadratic's finite.
+        coefficients=tuple(map(_finite, (c * c, 2.0 * b * c, b * b + 2.0 * c, 2.0 * b, 1.0))),
         quadratic=(c, b, 1.0),
     )
 
@@ -269,7 +273,7 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
 
 def _eigen_of(p: GQuat):
     # The eigen kernel at the root w = sqrt(-D) of p.  A finite D keeps a0 +/- w finite.
-    d = bilinear_f(p, p)
+    d = _bilinear_of(p, p)
     if not math.isfinite(d):
         raise NonFinite(f"axis discriminant D = {d} is not finite")
     return _eigen(p.params.as_tuple(), p.components, cmath.sqrt(complex(-d, 0.0)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 
-from .core import GQuat, GVec3, ParamTriple, _Record, bilinear_f
+from .core import GQuat, GVec3, ParamTriple, _Record, _bilinear_of, _dot, bilinear_f
 from .errors import (CongruenceViolation, NonElliptic, NonFinite, NonUnit, NoPeriod,
                      NotUnitVector, ZeroNorm)
 from .matrices import Mat4, _mult_rows
@@ -70,8 +70,7 @@ class PolarForm(_Record):
         c = self.modulus * c
         if self.axis is None:
             return GQuat.scalar(c, self.params)
-        s = self.modulus * s
-        return GQuat(c, s * self.axis.a1, s * self.axis.a2, s * self.axis.a3, self.params)
+        return GQuat(*_compose(c, self.modulus * s, self.axis.components), self.params)
 
 
 class RootSet(_Record):
@@ -131,8 +130,13 @@ def polar_matrix(axis: GVec3, theta: float) -> Mat4:
     the nth power and (theta + 2*pi*k)/n gives the nth roots.
     """
     c, s = _cos_sin(theta)
-    rows = _mult_rows(axis.params.as_tuple(), (c, s * axis.a1, s * axis.a2, s * axis.a3), 1)
-    return Mat4._of_rows(rows, axis.params)
+    return Mat4._of_rows(_mult_rows(axis.params._lam, _compose(c, s, axis.components), 1),
+                         axis.params)
+
+
+def _compose(c, s, u):
+    # Kernel (see core): the components of c + s*u for a pure u = (u1, u2, u3).
+    return (c, s * u[0], s * u[1], s * u[2])
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
@@ -194,7 +198,7 @@ def _axis_polar(p: GQuat) -> PolarForm:
 
 def _unit_polar(p: GQuat, unit_tol: float) -> PolarForm:
     _check_tolerance(unit_tol, "unit_tol")
-    n = p.norm()
+    n = _dot(p.params._lam, p.components, p.components)  # not norm(): inf fails as non_unit
     if abs(n - 1.0) > unit_tol:
         raise NonUnit(f"norm {n} != 1; operation is defined for unit quaternions")
     return _axis_polar(p)
@@ -204,7 +208,7 @@ def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
     # The unit-axis gate, |f(v, v) - 1| <= axis_tol, of every operation that
     # needs a unit direction; ``name`` labels the vector in the message.
     _check_tolerance(axis_tol, "axis_tol")
-    ff = bilinear_f(v, v)
+    ff = _bilinear_of(v, v)
     if abs(ff - 1.0) > axis_tol:
         raise NotUnitVector(f"f({name}, {name}) = {ff} != 1")
 

@@ -17,6 +17,14 @@ FAMILIES = [
     ParamTriple(1.0, 0.7, -1.3),
 ]
 
+# Operands at the edges of double range, among them unit inputs that pass the unit gates,
+# and integer options up to the longest a JSON reader takes (4,300 digits).
+EDGE_QUATS = [[0.6, 0.8, 0.0, 0.0], [-0.6, 0.8, 0.0, 0.0], [1e150, 1e-160, 0.0, 0.0],
+              [1e200, 0.0, 0.0, 0.0], [1e-7, 0.0, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0]]
+EDGE_VECS = [[1.0, 0.0, 0.0], [1e200, 1e200, 0.0], [5e-324, 0.0, 1e-300]]
+EDGE_SCALARS = [0.5, 1e308, 5e-324]
+EDGE_INTS = [10**400, -10**400, 10**307, -10**307, 10**308, 10**4300 - 1, 1 - 10**4300]
+
 # Families with a positive-definite form (needed for unit-elliptic sampling).
 POSITIVE_FAMILIES = [
     ParamTriple.hamilton(),

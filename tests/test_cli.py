@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gq3 import cli, errors
 from gq3.cli import OPS, RequestError, _emit, execute_request, main, parse_params
 from gq3.polar import MAX_ROOT_DEGREE
+from helpers import EDGE_INTS, EDGE_QUATS, EDGE_SCALARS, EDGE_VECS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -319,19 +320,13 @@ def test_readme_stable_codes_are_the_error_codes():
     assert STABLE_CODES == codes | {"bad_request"}
 
 
-# Operands at the edges of double range, among them unit inputs that pass the unit gates.
-_EDGE_QUATS = [[0.6, 0.8, 0.0, 0.0], [-0.6, 0.8, 0.0, 0.0], [1e150, 1e-160, 0.0, 0.0],
-               [1e200, 0.0, 0.0, 0.0], [1e-7, 0.0, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0]]
-_EDGE_VECS = [[1.0, 0.0, 0.0], [1e200, 1e200, 0.0], [5e-324, 0.0, 1e-300]]
 _number = st.floats(-1e308, 1e308)  # subnormals included
 _OPERANDS = {
-    "quat": st.one_of(st.sampled_from(_EDGE_QUATS), st.lists(_number, min_size=4, max_size=4)),
-    "vec": st.one_of(st.sampled_from(_EDGE_VECS), st.lists(_number, min_size=3, max_size=3)),
-    "scalar": st.one_of(st.sampled_from([0.5, 1e308, 5e-324]), _number),
+    "quat": st.one_of(st.sampled_from(EDGE_QUATS), st.lists(_number, min_size=4, max_size=4)),
+    "vec": st.one_of(st.sampled_from(EDGE_VECS), st.lists(_number, min_size=3, max_size=3)),
+    "scalar": st.one_of(st.sampled_from(EDGE_SCALARS), _number),
 }
-_INTS = st.one_of(st.sampled_from([10**400, -10**400, 10**307, -10**307, 10**308,
-                                   10**4300 - 1, 1 - 10**4300]),  # the longest JSON ints
-                  st.integers(-9, 9))
+_INTS = st.one_of(st.sampled_from(EDGE_INTS), st.integers(-9, 9))
 
 
 @st.composite
@@ -542,6 +537,26 @@ def test_batch_bytes_equal_per_request_encoding(tmp_path):
     # norm of 1e200 overflows: answered as an error, never as Infinity
     assert json.loads(out.splitlines()[-2])["code"] == "non_finite"
     assert "-0.0" in out.splitlines()[-1]
+
+
+CLI_RESPONSES = Path(__file__).resolve().parent / "data" / "cli_responses.ndjson"
+
+
+def test_cli_bytes_match_the_committed_responses(tmp_path):
+    # tests/data/make_cli_responses.py wrote each request's response line and exit code.
+    cases = [json.loads(line) for line in CLI_RESPONSES.read_text(encoding="utf-8").splitlines()]
+    path = tmp_path / "requests.ndjson"
+    path.write_text("".join(json.dumps(case["request"]) + "\n" for case in cases))
+    code, out, err = run(["batch", str(path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(cases)
+    for case, line in zip(cases, lines):
+        assert (line, execute_request(case["request"])[1]) == (case["response"], case["exit"])
+    ops = {case["request"].get("op") for case in cases if isinstance(case["request"], dict)}
+    codes = {json.loads(case["response"]).get("code") for case in cases}
+    assert set(OPS) <= ops
+    assert STABLE_CODES - codes == {"no_period", "congruence_violation"}  # known after atan2
 
 
 @pytest.mark.parametrize("params,rows", [

@@ -1,7 +1,10 @@
 """Left/right matrix representations, base matrices, determinant, spectrum."""
 
+import copy
 import json
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -473,6 +476,21 @@ def test_kernel_built_matrices_keep_the_public_contract(rng, params):
             m[0][0] = 1.0
         untagged = type(m)(m.tolist())
         assert (m @ untagged).params is params and (untagged @ m).params is None, name
+
+
+@pytest.mark.parametrize("params", FAMILIES)
+def test_matrices_are_frozen_and_still_copy(rng, params):
+    other = ParamTriple(2.0, 3.0, 5.0)
+    for name, kernel_built in _kernel_built(params, rng):
+        for m in (kernel_built, type(kernel_built)(kernel_built, params)):
+            for write in (lambda: setattr(m, "params", other), lambda: setattr(m, "foo", 1),
+                          lambda: delattr(m, "params"), lambda: delattr(m, "foo")):
+                with pytest.raises(FrozenInstanceError):
+                    write()
+            assert vars(m) == {"params": params}, name
+            for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+                assert type(twin) is type(m) and twin == m and twin.params == params, name
+            assert np.asarray(m).tolist() == m.tolist(), name
 
 
 @pytest.mark.parametrize("build,message", [

@@ -17,6 +17,7 @@ from gq3.core import _bilinear, _dot, _product, _wedge
 from gq3.lie import _adjoint_polynomials, _killing_of_form
 from gq3.matrices import _eigen, _mult_rows, _skew_rows
 from gq3.oracle import _table_product
+from gq3.polar import _compose
 
 LAM = sp.symbols("l1 l2 l3")
 P, Q, R = (sp.symbols(f"{name}0:4") for name in "pqr")
@@ -138,3 +139,20 @@ def test_eigenvectors_of_the_left_matrix():
     for t, head, tail in zip((t_plus, t_plus, t_minus, t_minus), heads, tails):
         v = sp.Matrix([*head, *tail])  # den times the eigenvector
         assert vanishes((lp * v - t * v).applyfunc(on_root))
+
+
+def test_compose_is_cosine_plus_sine_times_the_axis():
+    # The definition, with the scalar multiple s*u taken by the product kernel.
+    c, s = sp.symbols("c s")
+    assert vanishes(sp.Matrix(_compose(c, s, U))
+                    - sp.Matrix((c, 0, 0, 0)) - sp.Matrix(mul((s, 0, 0, 0), pure(U))))
+
+
+def test_angle_addition_and_euler_on_the_compose_kernel():
+    # With f(u, u) = 1 the first is the angle-addition law behind De Moivre's formula, the
+    # matrix powers and the matrix roots (through the proven left homomorphism).
+    c1, s1, c2, s2 = sp.symbols("c1 s1 c2 s2")
+    f = _bilinear(LAM, U, U)
+    assert vanishes(sp.Matrix(mul(_compose(c1, s1, U), _compose(c2, s2, U)))
+                    - sp.Matrix(_compose(c1 * c2 - s1 * s2 * f, s1 * c2 + c1 * s2, U)))
+    assert vanishes(sp.Matrix(mul(pure(U), pure(U))) - sp.Matrix((-f, 0, 0, 0)))

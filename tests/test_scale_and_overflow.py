@@ -4,9 +4,11 @@ The norm gate is relative: ``|N(p)| <= 1e-12`` times the sum of the sizes of N(p
 Scaling p by c = 2**k scales every term by c*c exactly while the terms stay normal doubles,
 so the gate, and with it the inverse and the polar form, follows the scaling bit for bit.
 A value that leaves double range raises ``NonFinite``, which is both an ``AlgebraError``
-and a ``ValueError``.
+and a ``ValueError``: every number a public function returns is finite.
 """
 
+import cmath
+import itertools
 import math
 
 import pytest
@@ -24,19 +26,28 @@ from gq3 import (
     PolarForm,
     adjoint_group,
     adjoint_rodrigues,
+    bilinear_f,
+    char_poly,
     demoivre_pow,
+    det4,
     eigenvectors,
     euler_exp,
     euler_exp_matrix,
+    killing_form,
+    left_matrix,
     matrix_pow,
     polar_matrix,
     scaled_power_relation,
     to_polar,
 )
-from helpers import FAMILIES
+from gq3.cli import OPS
+from gq3.core import _Record
+from gq3.polar import MAX_ROOT_DEGREE
+from helpers import EDGE_INTS, EDGE_QUATS, EDGE_SCALARS, EDGE_VECS, FAMILIES
 
 H = ParamTriple.hamilton()
 BIG = GQuat(1e200, 0.0, 0.0, 0.0, H)
+BIG_VEC = GVec3(1e200, 0.0, 0.0, H)
 
 
 def test_non_finite_is_an_algebra_error_and_a_value_error():
@@ -58,8 +69,17 @@ def test_non_finite_is_an_algebra_error_and_a_value_error():
     # Exponents too long for str(): the message must not print them.
     lambda: demoivre_pow(GQuat(2.0, 1.0, 0.0, 0.0, H), 10**5000),
     lambda: scaled_power_relation(GQuat(0.0, 1.0, 0.0, 0.0, H), 10**4300 - 1, -1),
+    # The numbers the library returns bare: each is checked where it is computed.
+    lambda: BIG.norm(),
+    lambda: BIG.dot(BIG),
+    lambda: det4(left_matrix(BIG)),  # inf - inf in the cofactor expansion: NaN
+    lambda: bilinear_f(BIG_VEC, BIG_VEC),
+    lambda: killing_form(BIG_VEC, BIG_VEC),
+    lambda: char_poly(GQuat(1e100, 1e100, 0.0, 0.0, H)),  # norm 2e200, its square inf
+    lambda: char_poly(GQuat.one(H))(1e100),  # (t - 1)^4 at t = 1e100
 ], ids=["mul", "scale", "add", "mat3", "inverse", "adjoint", "polar", "matrix-pow-int",
-        "matrix-pow-angle", "scaled-pow-period", "pow-long-n", "scaled-pow-long-n-s"])
+        "matrix-pow-angle", "scaled-pow-period", "pow-long-n", "scaled-pow-long-n-s",
+        "norm", "dot", "det4", "bilinear", "killing", "char-poly", "char-poly-call"])
 def test_overflow_raises_non_finite(compute):
     with pytest.raises(NonFinite):
         compute()
@@ -137,3 +157,43 @@ def test_null_gate_follows_scaling_by_powers_of_two(pair):
     if not isinstance(form, type):
         assert (form_c.modulus, form_c.theta, form_c.axis) == (c * form.modulus, form.theta,
                                                                 form.axis)
+
+
+# Every test family, and a triple whose product l12 overflows (the constructor takes it).
+_WALK_TRIPLES = [*FAMILIES, ParamTriple(1e200, 1e200, 1.0)]
+_WALK_INTS = [*EDGE_INTS, -2, 0, 1, 2, 5]
+
+
+def _edge_operands(kind: str, params: ParamTriple) -> list:
+    if kind == "scalar":
+        return EDGE_SCALARS
+    cls, edges = (GQuat, EDGE_QUATS) if kind == "quat" else (GVec3, EDGE_VECS)
+    return [cls(*x, params) for x in edges]
+
+
+def _all_finite(value) -> bool:
+    """Whether every float and complex part in a value, matrix, record, tuple or list is finite."""
+    if isinstance(value, (float, complex)):
+        return cmath.isfinite(value)
+    if isinstance(value, _Record):
+        return _all_finite(value._fields)
+    if isinstance(value, (tuple, list)):
+        return all(map(_all_finite, value))
+    return value is None or isinstance(value, int)  # bool, a period, a degree
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_every_op_returns_finite_numbers_or_raises_an_algebra_error(op):
+    # Each cli.OPS target, called directly: no CLI encoder stands between it and the check.
+    spec = OPS[op]
+    target = getattr(spec.owner, spec.name)
+    # The CLI answers a root degree outside 1..MAX_ROOT_DEGREE bad_request before the call.
+    ints = [n for n in _WALK_INTS if not spec.root_degree or 1 <= n <= MAX_ROOT_DEGREE]
+    for params in _WALK_TRIPLES:
+        pools = [_edge_operands(kind, params) for kind in spec.operands] or [[params]]
+        for args in itertools.product(*pools, *[ints] * len(spec.ints)):
+            try:
+                value = target(*args)
+            except AlgebraError:
+                continue
+            assert _all_finite(value), args
