@@ -257,10 +257,6 @@ def _op(operands: str, call: str, tag: str, summary: str, *, ints: str = "",
                   tuple(ints.split()), tol, root_degree)
 
 
-def _scale(c: float, q: GQuat) -> GQuat:
-    return q.scale(c)
-
-
 def _det(q: GQuat) -> float:
     return matrices.det4(matrices.left_matrix(q))
 
@@ -268,7 +264,7 @@ def _det(q: GQuat) -> float:
 OPS: dict[str, OpSpec] = {
     "add": _op("quat quat", "operator.add", "quat", "componentwise sum"),
     "sub": _op("quat quat", "operator.sub", "quat", "componentwise difference"),
-    "scale": _op("scalar quat", "_scale", "quat", "scalar multiple"),
+    "scale": _op("scalar quat", "operator.mul", "quat", "scalar multiple"),
     "mul": _op("quat quat", "operator.mul", "quat", "algebra product"),
     "conj": _op("quat", "GQuat.conj", "quat", "conjugate"),
     "norm": _op("quat", "GQuat.norm", "scalar", "indefinite norm"),

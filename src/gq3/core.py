@@ -170,41 +170,14 @@ class ParamTriple(_Record):
         """True when all three parameters are strictly positive."""
         return self.lambda1 > 0 and self.lambda2 > 0 and self.lambda3 > 0
 
-    @classmethod
-    def two_param(cls, lam: float, mu: float) -> "ParamTriple":
-        """Two-parameter generalized quaternions: e1^2 = -lam, e2^2 = -mu."""
-        return cls(1.0, lam, mu)
 
-    @classmethod
-    def hamilton(cls) -> "ParamTriple":
-        return cls(1.0, 1.0, 1.0)
-
-    @classmethod
-    def split(cls) -> "ParamTriple":
-        return cls(1.0, 1.0, -1.0)
-
-    @classmethod
-    def semi(cls) -> "ParamTriple":
-        return cls(1.0, 1.0, 0.0)
-
-    @classmethod
-    def split_semi(cls) -> "ParamTriple":
-        return cls(1.0, -1.0, 0.0)
-
-    @classmethod
-    def quarter(cls) -> "ParamTriple":
-        return cls(1.0, 0.0, 0.0)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return self._lam
-
-
+# Each named family's triple, written once; family() builds the ParamTriple.
 _FAMILIES = {
-    "hamilton": ParamTriple.hamilton,
-    "split": ParamTriple.split,
-    "semi": ParamTriple.semi,
-    "split-semi": ParamTriple.split_semi,
-    "quarter": ParamTriple.quarter,
+    "hamilton": (1.0, 1.0, 1.0),
+    "split": (1.0, 1.0, -1.0),
+    "semi": (1.0, 1.0, 0.0),
+    "split-semi": (1.0, -1.0, 0.0),
+    "quarter": (1.0, 0.0, 0.0),
 }
 
 
@@ -212,27 +185,27 @@ def family(name: str, *args: float) -> ParamTriple:
     """Look up a named parameter family.
 
     Accepts ``hamilton``, ``split``, ``semi``, ``split-semi``, ``quarter``
-    and ``2param`` (the last takes the two extra parameters lam, mu).
+    and ``2param``, whose two extra parameters lam, mu give (1, lam, mu).
     """
     key = name.strip().lower().replace("_", "-")
     if key in ("2param", "two-param"):
         if len(args) != 2:
             raise ValueError("2param family needs exactly two parameters")
-        return ParamTriple.two_param(*args)
+        return ParamTriple(1.0, *args)
     try:
-        ctor = _FAMILIES[key]
+        lam = _FAMILIES[key]
     except KeyError:
         raise ValueError(f"unknown family {name!r}") from None
     if args:
         raise ValueError(f"family {name!r} takes no parameters")
-    return ctor()
+    return ParamTriple(*lam)
 
 
 def _require_same_params(a: ParamTriple, b: ParamTriple) -> None:
     # The identity test skips the field-by-field comparison, e.g. for
     # p.dot(p) in norm.
     if a is not b and a != b:
-        raise ParamMismatch(f"parameter triples differ: {a.as_tuple()} vs {b.as_tuple()}")
+        raise ParamMismatch(f"parameter triples differ: {a._lam} vs {b._lam}")
 
 
 class _Componentwise(_Record):
@@ -293,7 +266,7 @@ class _Componentwise(_Record):
 
     def __repr__(self) -> str:
         values = ", ".join(format(x, "g") for x in self.components)
-        return f"{type(self).__name__}({values}; params={self.params.as_tuple()})"
+        return f"{type(self).__name__}({values}; params={self.params._lam})"
 
 
 # GQuat and GVec3, built on every operation, write __dict__ in their own __init__, and
@@ -323,10 +296,6 @@ class GQuat(_Componentwise):
     @classmethod
     def scalar(cls, c: float, params: ParamTriple) -> "GQuat":
         return cls(c, 0.0, 0.0, 0.0, params)
-
-    @classmethod
-    def one(cls, params: ParamTriple) -> "GQuat":
-        return cls(1.0, 0.0, 0.0, 0.0, params)
 
     @property
     def vector_part(self) -> "GVec3":

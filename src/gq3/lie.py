@@ -46,6 +46,7 @@ def metric_eps(params: ParamTriple) -> Mat3:
 
 def _diagonal(params: ParamTriple, d1: float, d2: float, d3: float) -> Mat3:
     # The diagonal Mat3 of metric_eps and killing_matrix; off-diagonal +0.0.
+    # Public Mat3(...), not _of_rows: bench/test_bench.py counts matrices.mat_new from it.
     return Mat3([[d1, 0.0, 0.0], [0.0, d2, 0.0], [0.0, 0.0, d3]], params)
 
 
@@ -70,7 +71,7 @@ def adjoint_group(p: GQuat) -> Mat3:
     ``oracle.conjugation_columns``, which the tests compare against.
     """
     n = p._nonnull_norm()
-    rows = _adjoint_polynomials(p.params.as_tuple(), p.components)
+    rows = _adjoint_polynomials(p.params._lam, p.components)
     return Mat3._of_rows(tuple([(a / n, b / n, c / n) for a, b, c in rows]), p.params)
 
 
@@ -83,7 +84,7 @@ def adjoint_closed_form(p: GQuat) -> Mat3:
     metric by norm(p)^2 and has determinant norm(p)^3 for every p, unit or
     not.
     """
-    return Mat3._of_rows(_adjoint_polynomials(p.params.as_tuple(), p.components), p.params)
+    return Mat3._of_rows(_adjoint_polynomials(p.params._lam, p.components), p.params)
 
 
 def _adjoint_polynomials(lam, a):
@@ -112,7 +113,7 @@ def skew_of_axis(s: GVec3) -> Mat3:
     the generator appearing in the rotation-style decomposition of the
     adjoint action.
     """
-    return Mat3._of_rows(_skew_rows(s.params.as_tuple(), s.components), s.params)
+    return Mat3._of_rows(_skew_rows(s.params._lam, s.components), s.params)
 
 
 def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat3:
@@ -124,7 +125,7 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
     """
     if not axis.params.is_positive:
         raise NotPositiveFamily(
-            f"rotation decomposition needs all lambdas > 0, got {axis.params.as_tuple()}")
+            f"rotation decomposition needs all lambdas > 0, got {axis.params._lam}")
     _require_unit_axis(axis, axis_tol, "axis")
     s = skew_of_axis(axis)
     c, st = _cos_sin(theta)
@@ -140,7 +141,7 @@ def ad_matrix(x: GVec3) -> Mat3:
     Built as the skew of the doubled vector: doubling is exact, so the
     entries equal 2 * skew_of_axis(x) bit for bit.
     """
-    return Mat3._of_rows(_skew_rows(x.params.as_tuple(), (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)),
+    return Mat3._of_rows(_skew_rows(x.params._lam, (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)),
                          x.params)
 
 

@@ -42,7 +42,7 @@ class _TaggedMatrix(tuple):
     ``m[i, j]`` reads one entry, and ``json`` writes the matrix as nested
     arrays.  ``@`` between two matrices of the same shape is computed here,
     each entry summed left to right from 0.0, and keeps the tag of the left
-    operand.  ``np.asarray(m)`` gives an ndarray; numpy is imported only then.
+    operand.  numpy reads the rows as a sequence: ``np.asarray(m)`` gives a float64 array.
     The tag is provenance only; it and every other attribute are read-only.
     """
 
@@ -85,16 +85,6 @@ class _TaggedMatrix(tuple):
             tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in cols]) for row in self]),
             self.params)
 
-    def tolist(self) -> list[list[float]]:
-        return [list(row) for row in self]
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError(f"{type(self).__name__} holds Python floats; an array is a copy")
-        import numpy as np
-
-        return np.array(tuple(self), dtype=float if dtype is None else dtype)
-
 
 def _float_rows(data, n: int, what: str) -> tuple[tuple[float, ...], ...]:
     # A copy of an n x n matrix (any sequence of rows) as row tuples of floats.
@@ -122,7 +112,7 @@ def left_matrix(p: GQuat) -> Mat4:
     Additive and multiplicative in p: the map p -> left_matrix(p) is an
     injective ring homomorphism into the 4x4 real matrices.
     """
-    return Mat4._of_rows(_mult_rows(p.params.as_tuple(), p.components, 1), p.params)
+    return Mat4._of_rows(_mult_rows(p.params._lam, p.components, 1), p.params)
 
 
 def right_matrix(p: GQuat) -> Mat4:
@@ -131,7 +121,7 @@ def right_matrix(p: GQuat) -> Mat4:
     Anti-multiplicative in p, and commutes with every left-multiplication
     matrix (left and right multiplications always commute).
     """
-    return Mat4._of_rows(_mult_rows(p.params.as_tuple(), p.components, -1), p.params)
+    return Mat4._of_rows(_mult_rows(p.params._lam, p.components, -1), p.params)
 
 
 def _skew_rows(lam, s):
@@ -276,7 +266,7 @@ def _eigen_of(p: GQuat):
     d = _bilinear_of(p, p)
     if not math.isfinite(d):
         raise NonFinite(f"axis discriminant D = {d} is not finite")
-    return _eigen(p.params.as_tuple(), p.components, cmath.sqrt(complex(-d, 0.0)))
+    return _eigen(p.params._lam, p.components, cmath.sqrt(complex(-d, 0.0)))
 
 
 def _eigen(lam, a, w):

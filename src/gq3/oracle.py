@@ -67,20 +67,20 @@ def _inverse(lam, a):
 
 def multiplication_table(params: ParamTriple) -> dict[tuple[int, int], tuple[float, int]]:
     """The literal, closed basis product table: (i, j) -> (w, k) for e_i * e_j = w * e_k."""
-    return _table(params.as_tuple())
+    return _table(params._lam)
 
 
 def mul_by_table(p: GQuat, q: GQuat) -> GQuat:
     """Product by expanding all 16 basis term pairs through the table."""
     _require_same_params(p.params, q.params)
-    return GQuat(*_table_product(p.params.as_tuple(), p.components, q.components), p.params)
+    return GQuat(*_table_product(p.params._lam, p.components, q.components), p.params)
 
 
 def pow_by_repetition(p: GQuat, n: int) -> GQuat:
     """n-fold left-associated table product; inverse chain (ZeroNorm if null) for n < 0."""
     if not isinstance(n, numbers.Integral):
         raise TypeError(f"exponent must be an integer, got {type(n).__name__}")
-    lam = p.params.as_tuple()
+    lam = p.params._lam
     base = p.components if n >= 0 else _inverse(lam, p.components)
     acc = _BASIS[0]
     for _ in range(abs(n)):
@@ -93,7 +93,7 @@ def conjugation_columns(p: GQuat) -> Mat3:
 
     Its scalar parts must come out (numerically) zero, which is checked here; ZeroNorm on null p.
     """
-    lam, a = p.params.as_tuple(), p.components
+    lam, a = p.params._lam, p.components
     a_inv = _inverse(lam, a)
     cols = []
     for j in (1, 2, 3):
@@ -108,5 +108,5 @@ def conjugation_columns(p: GQuat) -> Mat3:
 def killing_by_trace(x: GVec3, y: GVec3) -> float:
     """The trace of v -> [x, [y, v]]: coordinate j of table commutators, summed from +0."""
     _require_same_params(x.params, y.params)
-    lam, xq, yq = x.params.as_tuple(), (0, *x.components), (0, *y.components)
+    lam, xq, yq = x.params._lam, (0, *x.components), (0, *y.components)
     return sum(_bracket(lam, xq, _bracket(lam, yq, _BASIS[j]))[j] for j in (1, 2, 3))

@@ -199,7 +199,7 @@ def _axis_polar(p: GQuat) -> PolarForm:
 def _unit_polar(p: GQuat, unit_tol: float) -> PolarForm:
     _check_tolerance(unit_tol, "unit_tol")
     n = _dot(p.params._lam, p.components, p.components)  # not norm(): inf fails as non_unit
-    if abs(n - 1.0) > unit_tol:
+    if not abs(n - 1.0) <= unit_tol:  # a NaN norm fails too
         raise NonUnit(f"norm {n} != 1; operation is defined for unit quaternions")
     return _axis_polar(p)
 
@@ -209,7 +209,7 @@ def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
     # needs a unit direction; ``name`` labels the vector in the message.
     _check_tolerance(axis_tol, "axis_tol")
     ff = _bilinear_of(v, v)
-    if abs(ff - 1.0) > axis_tol:
+    if not abs(ff - 1.0) <= axis_tol:  # a NaN f(v, v) fails too
         raise NotUnitVector(f"f({name}, {name}) = {ff} != 1")
 
 

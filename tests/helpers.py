@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from gq3 import GQuat, GVec3, ParamTriple
+from gq3 import GQuat, GVec3, ParamTriple, family
 
-# The parameter families every suite-wide property is exercised against.
+# The parameter families every suite-wide property is exercised against: the named ones,
+# a two-parameter one and (2, 3, 5), whose lambda1 != 1 no named family has.
 FAMILIES = [
-    ParamTriple.hamilton(),
-    ParamTriple.split(),
-    ParamTriple.semi(),
-    ParamTriple.split_semi(),
-    ParamTriple.quarter(),
+    family("hamilton"),
+    family("split"),
+    family("semi"),
+    family("split-semi"),
+    family("quarter"),
     ParamTriple(2.0, 3.0, 5.0),
-    ParamTriple(1.0, 0.7, -1.3),
+    family("2param", 0.7, -1.3),
 ]
 
 # Operands at the edges of double range, among them unit inputs that pass the unit gates,
@@ -27,9 +28,9 @@ EDGE_INTS = [10**400, -10**400, 10**307, -10**307, 10**308, 10**4300 - 1, 1 - 10
 
 # Families with a positive-definite form (needed for unit-elliptic sampling).
 POSITIVE_FAMILIES = [
-    ParamTriple.hamilton(),
+    family("hamilton"),
     ParamTriple(2.0, 3.0, 5.0),
-    ParamTriple(1.0, 0.8, 2.2),
+    family("2param", 0.8, 2.2),
 ]
 
 

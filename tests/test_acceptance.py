@@ -28,6 +28,7 @@ from gq3 import (
     det4,
     eigenvalues,
     eigenvectors,
+    family,
     killing_form,
     killing_matrix,
     left_matrix,
@@ -53,7 +54,7 @@ from helpers import (
 from _hamilton import HQuat
 from test_cli import ERROR_CASES, run as run_cli
 
-H = ParamTriple.hamilton()
+H = family("hamilton")
 
 ACCEPTANCE_FAMILIES = [
     ParamTriple(1.0, 1.0, 1.0),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gq3 import cli, errors
+from gq3 import ParamTriple, cli, errors
 from gq3.cli import OPS, RequestError, _emit, execute_request, main, parse_params
 from gq3.polar import MAX_ROOT_DEGREE
 from helpers import EDGE_INTS, EDGE_QUATS, EDGE_SCALARS, EDGE_VECS
@@ -688,8 +688,8 @@ def test_batch_with_interned_triples_matches_fresh_parses(tmp_path):
 def test_interned_triples_stay_within_their_bound():
     cli._TRIPLES.clear()
     for i in range(3 * cli._TRIPLES_MAX):
-        assert parse_params([1, 2, i]).as_tuple() == (1.0, 2.0, float(i))
-        assert parse_params(f"2,1,{i}").as_tuple() == (2.0, 1.0, float(i))
+        assert parse_params([1, 2, i]) == ParamTriple(1.0, 2.0, float(i))
+        assert parse_params(f"2,1,{i}") == ParamTriple(2.0, 1.0, float(i))
         assert len(cli._TRIPLES) <= cli._TRIPLES_MAX
     assert parse_params([1, 2, i]) is parse_params([1.0, 2.0, float(i)])
     assert parse_params(f"2,1,{i}") is parse_params(f"2,1,{i}")

@@ -31,18 +31,18 @@ from helpers import FAMILIES, quat_close, random_quat, random_vec, rel_close, ve
 
 from _hamilton import HQuat
 
-H = ParamTriple.hamilton()
+H = family("hamilton")
 
 
 # --- parameter families ------------------------------------------------------
 
 def test_family_assignments():
-    assert family("hamilton").as_tuple() == (1.0, 1.0, 1.0)
-    assert family("split").as_tuple() == (1.0, 1.0, -1.0)
-    assert family("semi").as_tuple() == (1.0, 1.0, 0.0)
-    assert family("split-semi").as_tuple() == (1.0, -1.0, 0.0)
-    assert family("quarter").as_tuple() == (1.0, 0.0, 0.0)
-    assert family("2param", 2.5, -0.5).as_tuple() == (1.0, 2.5, -0.5)
+    assert family("hamilton") == ParamTriple(1.0, 1.0, 1.0)
+    assert family("split") == ParamTriple(1.0, 1.0, -1.0)
+    assert family("semi") == ParamTriple(1.0, 1.0, 0.0)
+    assert family("split-semi") == ParamTriple(1.0, -1.0, 0.0)
+    assert family("quarter") == ParamTriple(1.0, 0.0, 0.0)
+    assert family("2param", 2.5, -0.5) == ParamTriple(1.0, 2.5, -0.5)
 
 
 def test_family_rejects_unknown_names():
@@ -114,7 +114,7 @@ def test_componentwise_ops_are_the_float_ops(rng, cls, params):
 
 @pytest.mark.parametrize("params", FAMILIES)
 def test_repr_shows_components_g_formatted_and_the_triple(params):
-    lam = params.as_tuple()
+    lam = params.lambda1, params.lambda2, params.lambda3
     assert repr(GQuat(1.0, -2.5, 3e-20, 4e20, params)) == (
         f"GQuat(1, -2.5, 3e-20, 4e+20; params={lam})")
     assert repr(GVec3(-0.0, 0.125, 1234567.0, params)) == (
@@ -151,7 +151,7 @@ def test_quaternions_and_vectors_do_not_mix():
 @pytest.mark.parametrize("cls", KINDS)
 def test_componentwise_ops_refuse_mixed_triples(cls):
     x = cls.basis(1, H)
-    y = cls.basis(1, ParamTriple.split())
+    y = cls.basis(1, family("split"))
     for op in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x):
         with pytest.raises(ParamMismatch):
             op()
@@ -165,7 +165,7 @@ def test_fields_and_params_are_the_record_fields(cls):
     assert hash(x) == hash(tuple(getattr(x, name) for name in names))
     for name in names:
         values = {n: getattr(x, n) for n in names}
-        values[name] = ParamTriple.split() if name == "params" else 0.5
+        values[name] = family("split") if name == "params" else 0.5
         assert cls(**values) != x, name
 
 
@@ -180,8 +180,8 @@ RECORDS = [
      dict(value=1j, vector=(1j, 0j, 1 + 0j, 0j), multiplicity=1)),
     (PolarForm(2.0, 0.5, _V, H), dict(modulus=2.0, theta=0.5, axis=_V, params=H)),
     (PolarForm(1.0, 0.0, None, H), dict(modulus=1.0, theta=0.0, axis=None, params=H)),
-    (RootSet(1, (left_matrix(GQuat.one(H)),)),
-     dict(degree=1, roots=(left_matrix(GQuat.one(H)),))),
+    (RootSet(1, (left_matrix(GQuat.scalar(1.0, H)),)),
+     dict(degree=1, roots=(left_matrix(GQuat.scalar(1.0, H)),))),
     (OPS["roots"], {name: getattr(OPS["roots"], name) for name in OpSpec.__match_args__}),
 ]
 
@@ -193,7 +193,7 @@ def test_records_compare_hash_and_print_by_their_fields(record, fields):
     assert tuple(inspect.signature(cls).parameters) == cls.__match_args__ == tuple(fields)
     values = tuple(fields.values())
     assert cls(**fields) == record == cls(*values) and hash(record) == hash(values)
-    assert record != object() and record != GQuat.one(H)
+    assert record != object() and record != GQuat.scalar(1.0, H)
     shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(record) == f"{cls.__name__}({shown})"
     assert not dataclasses.is_dataclass(record)
@@ -209,12 +209,12 @@ def test_records_compare_hash_and_print_by_their_fields(record, fields):
 
 def test_mixing_params_raises():
     p = GQuat(1.0, 0.0, 0.0, 0.0, H)
-    q = GQuat(1.0, 0.0, 0.0, 0.0, ParamTriple.split())
+    q = GQuat(1.0, 0.0, 0.0, 0.0, family("split"))
     for op in (lambda: p + q, lambda: p - q, lambda: p * q, lambda: p.dot(q)):
         with pytest.raises(ParamMismatch):
             op()
     u = GVec3(1.0, 0.0, 0.0, H)
-    v = GVec3(1.0, 0.0, 0.0, ParamTriple.split())
+    v = GVec3(1.0, 0.0, 0.0, family("split"))
     for op in (lambda: bilinear_f(u, v), lambda: wedge(u, v), lambda: u + v,
                lambda: wedge_triple_left(v, u, u), lambda: wedge_triple_left(u, v, u),
                lambda: wedge_triple_left(u, u, v), lambda: wedge_triple_right(v, u, u),
@@ -227,7 +227,7 @@ def test_mixing_params_raises():
 
 @pytest.mark.parametrize("params", FAMILIES)
 def test_basis_products_follow_the_table(params):
-    l1, l2, l3 = params.as_tuple()
+    l1, l2, l3 = params.lambda1, params.lambda2, params.lambda3
     e = [GQuat.basis(i, params) for i in range(4)]
 
     def expect(prod, scalar, e1c, e2c, e3c):
@@ -246,7 +246,7 @@ def test_basis_products_follow_the_table(params):
 
 def test_unit_is_neutral(rng):
     for params in FAMILIES:
-        one = GQuat.one(params)
+        one = GQuat.scalar(1.0, params)
         q = random_quat(rng, params)
         assert (one * q).components == q.components
         assert (q * one).components == q.components
@@ -279,7 +279,7 @@ def test_mul_associative_random(rng, params):
 
 
 def test_zero_divisors_in_quarter_family():
-    params = ParamTriple.quarter()
+    params = family("quarter")
     e2 = GQuat.basis(2, params)
     assert e2.components != (0.0, 0.0, 0.0, 0.0)
     assert (e2 * e2).components == (0.0, 0.0, 0.0, 0.0)
@@ -380,7 +380,7 @@ def test_conj_anti_homomorphism(rng, params):
 
 def test_norm_examples():
     assert GQuat(1.0, 1.0, 1.0, 1.0, H).norm() == 4.0
-    split = ParamTriple.split()
+    split = family("split")
     assert GQuat(0.0, 0.0, 1.0, 0.0, split).norm() == -1.0
 
 
@@ -402,7 +402,7 @@ def test_norm_of_scalar_multiple(rng):
 
 @pytest.mark.parametrize("params", FAMILIES)
 def test_norm_is_the_weighted_sum_of_squares_bit_for_bit(rng, params):
-    l1, l2, l3 = params.as_tuple()
+    l1, l2, l3 = params.lambda1, params.lambda2, params.lambda3
     for _ in range(20):
         p = random_quat(rng, params, 10.0)
         a0, a1, a2, a3 = p.components
@@ -416,7 +416,7 @@ def test_dot_refuses_a_vector():
 
 
 def test_inverse_examples():
-    assert GQuat.one(H).inverse().components == (1.0, 0.0, 0.0, 0.0)
+    assert GQuat.scalar(1.0, H).inverse().components == (1.0, 0.0, 0.0, 0.0)
     e1 = GQuat.basis(1, H)
     assert e1.inverse().components == (0.0, -1.0, 0.0, 0.0)
 
@@ -429,8 +429,8 @@ def test_inverse_round_trip(rng, params):
         if abs(p.norm()) < 1e-3:
             continue
         count += 1
-        assert quat_close(p * p.inverse(), GQuat.one(params), 1e-10)
-        assert quat_close(p.inverse() * p, GQuat.one(params), 1e-10)
+        assert quat_close(p * p.inverse(), GQuat.scalar(1.0, params), 1e-10)
+        assert quat_close(p.inverse() * p, GQuat.scalar(1.0, params), 1e-10)
 
 
 def test_inverse_of_product_and_scalar_multiple(rng):
@@ -444,12 +444,12 @@ def test_inverse_of_product_and_scalar_multiple(rng):
 
 
 def test_inverse_raises_on_null():
-    split = ParamTriple.split()
+    split = family("split")
     null = GQuat(1.0, 0.0, 1.0, 0.0, split)  # 1 + e2 has norm 1 - 1 = 0
     assert null.norm() == 0.0
     with pytest.raises(ZeroNorm):
         null.inverse()
-    quarter = ParamTriple.quarter()
+    quarter = family("quarter")
     with pytest.raises(ZeroNorm):
         GQuat.basis(2, quarter).inverse()  # norm l1*l3 = 0
 
@@ -459,7 +459,7 @@ def test_inverse_raises_on_null():
 def test_scalar_product_examples():
     p = GQuat(1.0, 2.0, 3.0, 4.0, H)
     assert GQuat.dot(p, p) == p.norm()
-    assert GQuat.dot(GQuat.one(H), GQuat.basis(1, H)) == 0.0
+    assert GQuat.dot(GQuat.scalar(1.0, H), GQuat.basis(1, H)) == 0.0
 
 
 @pytest.mark.parametrize("params", FAMILIES)

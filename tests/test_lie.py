@@ -19,6 +19,7 @@ from gq3 import (
     adjoint_rodrigues,
     bilinear_f,
     bracket,
+    family,
     is_compact,
     killing_form,
     killing_matrix,
@@ -39,14 +40,14 @@ from helpers import (
     vec_close,
 )
 
-H = ParamTriple.hamilton()
+H = family("hamilton")
 
 
 # --- bracket -------------------------------------------------------------------
 
 @pytest.mark.parametrize("params", FAMILIES)
 def test_bracket_basis_relations(params):
-    l1, l2, l3 = params.as_tuple()
+    l1, l2, l3 = params.lambda1, params.lambda2, params.lambda3
     e1, e2, e3 = (GVec3.basis(i, params) for i in (1, 2, 3))
     assert bracket(e1, e2).components == (0.0, 0.0, 2.0 * l1)
     assert bracket(e2, e3).components == (2.0 * l3, 0.0, 0.0)
@@ -89,7 +90,7 @@ def test_bracket_and_ad_are_twice_wedge_and_skew_bitwise(rng, params):
 
 def test_ad_matrix_of_e1():
     params = ParamTriple(2.0, 3.0, 5.0)
-    l1, l2, _ = params.as_tuple()
+    l1, l2, _ = params.lambda1, params.lambda2, params.lambda3
     got = as_array(ad_matrix(GVec3.basis(1, params)))
     expected = np.array([
         [0.0, 0.0, 0.0],
@@ -146,7 +147,7 @@ def test_skew_commutator_is_skew_of_wedge(rng, params):
 
 def test_adjoint_of_identity():
     for params in FAMILIES:
-        assert np.allclose(as_array(adjoint_group(GQuat.one(params))), np.eye(3), atol=0)
+        assert np.allclose(as_array(adjoint_group(GQuat.scalar(1.0, params))), np.eye(3), atol=0)
 
 
 def test_adjoint_of_half_angle_is_plane_rotation():
@@ -190,7 +191,7 @@ def test_adjoint_matches_conjugation_oracle(rng, params):
 
 
 def test_adjoint_rejects_null_elements():
-    split = ParamTriple.split()
+    split = family("split")
     with pytest.raises(ZeroNorm):
         adjoint_group(GQuat(1.0, 0.0, 1.0, 0.0, split))
 
@@ -265,7 +266,7 @@ def test_rodrigues_derivative_at_zero_is_skew(rng):
 
 
 def test_rodrigues_rejects_bad_input(rng):
-    split = ParamTriple.split()
+    split = family("split")
     ex = GVec3(1.0, 0.0, 0.0, split)  # f(ex, ex) = 1, but the family is indefinite
     with pytest.raises(NotPositiveFamily):
         adjoint_rodrigues(ex, 1.0)
@@ -345,9 +346,9 @@ def test_killing_ad_invariance(rng, params):
 
 def test_killing_matrix_values():
     assert np.array_equal(as_array(killing_matrix(H)), -8.0 * np.eye(3))
-    split = ParamTriple.split()
+    split = family("split")
     assert np.array_equal(as_array(killing_matrix(split)), np.diag([-8.0, 8.0, 8.0]))
-    quarter = ParamTriple.quarter()
+    quarter = family("quarter")
     assert np.array_equal(as_array(killing_matrix(quarter)), np.zeros((3, 3)))
 
 
@@ -361,8 +362,8 @@ def test_killing_matrix_is_exactly_scaled_metric(params):
 def test_compactness_criterion(rng):
     assert is_compact(H)
     assert is_compact(ParamTriple(1.0, 2.0, 3.0))
-    assert not is_compact(ParamTriple.split())
-    assert not is_compact(ParamTriple.quarter())
+    assert not is_compact(family("split"))
+    assert not is_compact(family("quarter"))
     # compact families have negative Killing self-pairing on nonzero vectors
     for params in POSITIVE_FAMILIES:
         for _ in range(10):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import gq3.oracle
-from gq3 import GQuat, GVec3, ParamTriple, ZeroNorm, adjoint_group, core, lie, matrices
+from gq3 import GQuat, GVec3, ParamTriple, ZeroNorm, adjoint_group, core, family, lie, matrices
 from gq3.oracle import (
     conjugation_columns,
     killing_by_trace,
@@ -14,7 +14,7 @@ from gq3.oracle import (
 )
 from helpers import FAMILIES, as_array, quat_close, random_quat, random_unit_norm
 
-H = ParamTriple.hamilton()
+H = family("hamilton")
 
 
 def test_table_is_closed():
@@ -32,7 +32,7 @@ def test_table_basis_products(params):
     e2, e3 = GQuat.basis(2, params), GQuat.basis(3, params)
     assert mul_by_table(e2, e3).components == (0.0, l3, 0.0, 0.0)
     q = GQuat(0.5, -1.5, 2.5, -3.5, params)
-    assert mul_by_table(GQuat.one(params), q).components == q.components
+    assert mul_by_table(GQuat.scalar(1.0, params), q).components == q.components
 
 
 @pytest.mark.parametrize("params", FAMILIES)
@@ -59,11 +59,11 @@ def test_repetition_negative_exponents(rng):
     inv3 = pow_by_repetition(p, -3)
     direct = pow_by_repetition(p.inverse(), 3)
     assert quat_close(inv3, direct, 1e-12)
-    assert quat_close(pow_by_repetition(p, 3) * inv3, GQuat.one(p.params), 1e-9)
+    assert quat_close(pow_by_repetition(p, 3) * inv3, GQuat.scalar(1.0, p.params), 1e-9)
 
 
 def test_repetition_rejects_negative_power_of_null():
-    split = ParamTriple.split()
+    split = family("split")
     null = GQuat(1.0, 0.0, 1.0, 0.0, split)
     with pytest.raises(ZeroNorm):
         pow_by_repetition(null, -1)
@@ -74,7 +74,7 @@ def test_repetition_rejects_negative_power_of_null():
 
 def test_conjugation_of_identity():
     for params in FAMILIES:
-        assert np.array_equal(as_array(conjugation_columns(GQuat.one(params))), np.eye(3))
+        assert np.array_equal(as_array(conjugation_columns(GQuat.scalar(1.0, params))), np.eye(3))
 
 
 def test_conjugation_by_e1_at_hamilton():
@@ -91,7 +91,7 @@ def test_conjugation_matches_adjoint(rng, params):
 
 
 def test_conjugation_rejects_null():
-    split = ParamTriple.split()
+    split = family("split")
     with pytest.raises(ZeroNorm):
         conjugation_columns(GQuat(1.0, 0.0, 1.0, 0.0, split))
 
@@ -110,7 +110,7 @@ def _checked_code_called(*args, **kwargs):
 
 def test_routes_use_none_of_the_code_they_check(monkeypatch):
     params = ParamTriple(1.0, 0.7, -1.3)
-    p, null = GQuat(0.5, -1.5, 2.5, -3.5, params), GQuat(1.0, 0.0, 1.0, 0.0, ParamTriple.split())
+    p, null = GQuat(0.5, -1.5, 2.5, -3.5, params), GQuat(1.0, 0.0, 1.0, 0.0, family("split"))
     x, y = GVec3(1.0, -2.0, 0.5, params), GVec3(-0.25, 3.0, 1.5, params)
     for owner, name in CHECKED:
         assert name not in vars(gq3.oracle)

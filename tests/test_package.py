@@ -1,16 +1,18 @@
 """The package's export list, the standard-library-only runtime, and the README tour."""
 
 import ast
+import operator
 import re
 import subprocess
 import sys
 import tomllib
+import types
 from pathlib import Path
 
 import pytest
 
 import gq3
-from gq3 import core, errors, lie, matrices, polar
+from gq3 import ParamTriple, cli, core, errors, family, lie, matrices, oracle, polar
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -95,3 +97,112 @@ def test_readme_tour_shows_what_it_computes():
             assert re.fullmatch(pattern, repr(value)), (code, repr(value))
             shown += 1
     assert shown == 4
+
+
+def _readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table whose header row starts with ``header``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(rf"^{re.escape(header)}.*\n\|[-| ]+\|\n((?:\|.*\n)+)", text, re.M).group(1)
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in block.splitlines()]
+
+
+def test_readme_family_table_is_the_code():
+    rows = {name.strip("`"): triple.strip("`") for name, triple, _ in _readme_table("| family")}
+    assert rows.pop("2param:l,m") == "(1, l, m)"
+    assert family("2param", 2.5, -0.5) == ParamTriple(1.0, 2.5, -0.5)
+    assert rows.keys() == core._FAMILIES.keys()
+    for name, triple in rows.items():
+        lam = tuple(float(x) for x in triple.strip("()").split(","))
+        assert core._FAMILIES[name] == lam and family(name) == ParamTriple(*lam), name
+
+
+# Special methods of the record machinery, which every record shares: no ledger row.
+_RECORD_METHODS = {"__init__", "__init_subclass__", "__eq__", "__hash__", "__repr__",
+                   "__setattr__", "__delattr__"}
+# A CLI helper that composes public names: its op is listed under the name computing it.
+_COMPOSED = {"_det": "det4"}
+
+
+def _public_members(cls: type, sample) -> set[str]:
+    names = {name for name in vars(sample) if not name.startswith("_")} if sample else set()
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("gq3."):
+            names |= {name for name, value in vars(klass).items()
+                      if not name.startswith("_")
+                      or (name.startswith("__") and name.endswith("__")
+                          and isinstance(value, (types.FunctionType, classmethod, staticmethod))
+                          and name not in _RECORD_METHODS)}
+    return names
+
+
+def _api_names() -> set[str]:
+    p = gq3.GQuat(0.6, 0.8, 0.0, 0.0, family("hamilton"))
+    samples = [p.params, p, p.vector_part, gq3.left_matrix(p), gq3.adjoint_group(p),
+               gq3.char_poly(p), gq3.eigenvalues(p)[0], gq3.to_polar(p),
+               gq3.matrix_roots(p, 1)]
+    samples = {type(sample): sample for sample in samples}
+    names = set(gq3.__all__) | {f"oracle.{name}" for name in oracle.__all__}
+    for name in gq3.__all__:
+        cls = getattr(gq3, name)
+        if isinstance(cls, type):
+            names |= {f"{name}.{member}" for member in _public_members(cls, samples.get(cls))}
+    return names
+
+
+def _op_rows() -> dict[str, set[str]]:
+    """Ledger name -> the ops whose row of ``cli.OPS`` targets it."""
+    rows: dict[str, set[str]] = {}
+    for op, spec in cli.OPS.items():
+        if spec.owner is operator:
+            # c * q reaches the right-hand operand's __rmul__; q + q the left one's __add__.
+            kinds = spec.operands
+            reflected = kinds[0] == "scalar"
+            cls = {"quat": "GQuat", "vec": "GVec3"}[kinds[1] if reflected else kinds[0]]
+            name = f"{cls}.__{'r' if reflected else ''}{spec.name}__"
+        elif isinstance(spec.owner, type):
+            name = f"{spec.owner.__name__}.{spec.name}"
+        else:
+            name = _COMPOSED.get(spec.name, spec.name)
+            assert spec.name in _COMPOSED or getattr(spec.owner, name) is getattr(gq3, name), op
+        rows.setdefault(name, set()).add(op)
+    return rows
+
+
+def _expand(cell: str) -> list[str]:
+    # `GQuat/GVec3.scale` names the member of both classes.
+    owners, _, member = cell.strip("`").rpartition(".")
+    if "/" not in owners:
+        return [cell.strip("`")]
+    return [f"{owner}.{member}" for owner in owners.split("/")]
+
+
+def _check_exists(ref: str) -> bool:
+    if ref.startswith("oracle."):
+        return hasattr(oracle, ref.partition(".")[2])
+    module, _, function = ref.partition("::")
+    return f"\ndef {function}(" in (ROOT / "tests" / f"{module}.py").read_text(encoding="utf-8")
+
+
+def test_public_api_ledger_is_the_code():
+    abstract = (ROOT / "PAPER.md").read_text(encoding="utf-8").lower()
+    ledger: dict[str, set[str]] = {}  # name -> its CLI ops
+    for name_cell, paper, ops, checks, note in _readme_table("| name | paper item"):
+        for name in _expand(name_cell):
+            assert name not in ledger, f"two rows for {name}"
+            ledger[name] = set(re.findall(r"`([a-z-]+)`", ops))
+        assert paper == "—" and note or paper.lower() in abstract, name_cell
+        refs = re.findall(r"`([^`]+)`", checks)
+        assert refs and all(map(_check_exists, refs)), name_cell
+    assert ledger.keys() == _api_names()
+    assert {name: ops for name, ops in ledger.items() if ops} == _op_rows()
+
+
+def test_removed_names_are_gone():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    removed = re.search(r"^### Removed\n\n((?:- .*\n(?:  .*\n)*)+)", text, re.M).group(1)
+    names = re.findall(r"^- `([\w./]+)", removed, re.M)
+    assert {"GQuat.one", "cli._scale", "Mat3/Mat4.tolist"} <= set(names)
+    for name in (expanded for cell in names for expanded in _expand(cell)):
+        owner, _, attr = name.rpartition(".")
+        assert not hasattr(getattr(gq3, owner), attr), name

@@ -21,6 +21,7 @@ from gq3 import (
     demoivre_pow,
     euler_exp,
     euler_exp_matrix,
+    family,
     left_matrix,
     matrix_pow,
     matrix_roots,
@@ -40,7 +41,7 @@ from helpers import (
     random_unit_vector,
 )
 
-H = ParamTriple.hamilton()
+H = family("hamilton")
 
 # The worked unit quaternion with angle 2*pi/3 about the diagonal axis.
 P_THIRD = GQuat(-0.5, 0.5, 0.5, 0.5, H)
@@ -90,7 +91,7 @@ def test_polar_round_trip(rng, params):
 
 def test_polar_round_trip_on_indefinite_family(rng):
     # elliptic elements exist in the split family too (discriminant > 0)
-    split = ParamTriple.split()
+    split = family("split")
     found = 0
     while found < 10:
         p = random_quat(rng, split)
@@ -105,7 +106,7 @@ def test_polar_round_trip_on_indefinite_family(rng):
 def test_polar_rejects_zero_and_nonpositive_norm():
     with pytest.raises(ZeroNorm):
         to_polar(GQuat(0.0, 0.0, 0.0, 0.0, H))
-    split = ParamTriple.split()
+    split = family("split")
     with pytest.raises(ZeroNorm):
         to_polar(GQuat(1.0, 0.0, 1.0, 0.0, split))  # null: norm 0
     with pytest.raises(ZeroNorm):
@@ -113,7 +114,7 @@ def test_polar_rejects_zero_and_nonpositive_norm():
 
 
 def test_polar_rejects_non_elliptic():
-    split = ParamTriple.split()
+    split = family("split")
     p = GQuat(2.0, 0.0, 0.0, 1.0, split)  # norm 3 > 0, discriminant -1
     with pytest.raises(NonElliptic):
         to_polar(p)
@@ -159,7 +160,7 @@ def test_power_of_non_unit_matches_repetition(rng):
 def test_power_requires_elliptic_input():
     with pytest.raises(NonElliptic):
         demoivre_pow(GQuat.scalar(2.0, H), 3)
-    split = ParamTriple.split()
+    split = family("split")
     with pytest.raises(NonElliptic):
         demoivre_pow(GQuat(2.0, 0.0, 0.0, 1.0, split), 3)
     with pytest.raises(ZeroNorm):
@@ -319,7 +320,7 @@ def test_exponential_rejects_non_unit_direction():
     with pytest.raises(NotUnitVector):
         euler_exp_matrix(v, 1.0)
     # negative-square directions cannot be unit either
-    split = ParamTriple.split()
+    split = family("split")
     w = GVec3(0.0, 0.0, 1.0, split)  # f(w, w) = -1
     with pytest.raises(NotUnitVector):
         euler_exp(w, 1.0)
@@ -361,7 +362,7 @@ def test_roots_recompose_and_are_distinct(rng, params):
 def test_roots_validate_input():
     with pytest.raises(NonUnit):
         matrix_roots(P_THIRD.scale(3.0), 2)
-    split = ParamTriple.split()
+    split = family("split")
     with pytest.raises(NonElliptic):
         matrix_roots(GQuat(0.99999999995, 0.0, 0.0, 1e-5, split), 2)
     with pytest.raises(ValueError):
@@ -376,7 +377,7 @@ def test_period_of_third_turn():
     assert power_period(P_THIRD) == 3
     for n in (4, 7):
         assert quat_close(demoivre_pow(P_THIRD, n), P_THIRD, 1e-10)
-    assert quat_close(demoivre_pow(P_THIRD, 3), GQuat.one(H), 1e-10)
+    assert quat_close(demoivre_pow(P_THIRD, 3), GQuat.scalar(1.0, H), 1e-10)
 
 
 def test_period_of_eighth_turn():

@@ -10,6 +10,7 @@ and a ``ValueError``: every number a public function returns is finite.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from gq3 import (
     eigenvectors,
     euler_exp,
     euler_exp_matrix,
+    family,
     killing_form,
     left_matrix,
     matrix_pow,
@@ -40,12 +42,12 @@ from gq3 import (
     scaled_power_relation,
     to_polar,
 )
-from gq3.cli import OPS
+from gq3.cli import OPS, execute_request
 from gq3.core import _Record
-from gq3.polar import MAX_ROOT_DEGREE
+from gq3.polar import MAX_ROOT_DEGREE, UNIT_AXIS_TOL, UNIT_NORM_TOL
 from helpers import EDGE_INTS, EDGE_QUATS, EDGE_SCALARS, EDGE_VECS, FAMILIES
 
-H = ParamTriple.hamilton()
+H = family("hamilton")
 BIG = GQuat(1e200, 0.0, 0.0, 0.0, H)
 BIG_VEC = GVec3(1e200, 0.0, 0.0, H)
 
@@ -76,7 +78,7 @@ def test_non_finite_is_an_algebra_error_and_a_value_error():
     lambda: bilinear_f(BIG_VEC, BIG_VEC),
     lambda: killing_form(BIG_VEC, BIG_VEC),
     lambda: char_poly(GQuat(1e100, 1e100, 0.0, 0.0, H)),  # norm 2e200, its square inf
-    lambda: char_poly(GQuat.one(H))(1e100),  # (t - 1)^4 at t = 1e100
+    lambda: char_poly(GQuat.scalar(1.0, H))(1e100),  # (t - 1)^4 at t = 1e100
 ], ids=["mul", "scale", "add", "mat3", "inverse", "adjoint", "polar", "matrix-pow-int",
         "matrix-pow-angle", "scaled-pow-period", "pow-long-n", "scaled-pow-long-n-s",
         "norm", "dot", "det4", "bilinear", "killing", "char-poly", "char-poly-call"])
@@ -157,6 +159,32 @@ def test_null_gate_follows_scaling_by_powers_of_two(pair):
     if not isinstance(form, type):
         assert (form_c.modulus, form_c.theta, form_c.axis) == (c * form.modulus, form.theta,
                                                                 form.axis)
+
+
+# The families whose form is not positive definite, where terms of opposite sign or a zero
+# weight can turn an overflowing gate quantity into NaN.
+_NOT_POSITIVE = [params for params in FAMILIES if not params.is_positive]
+_HUGE = st.floats(1e150, 1e308) | st.floats(-1e308, -1e150)
+# Gated op -> (whether its gate reads f(v, v) of the vector part, else the norm; tolerance).
+_GATES = {"exp": (True, UNIT_AXIS_TOL), "exp-matrix": (True, UNIT_AXIS_TOL),
+          "rodrigues": (True, UNIT_AXIS_TOL), "matrix-pow": (False, UNIT_NORM_TOL),
+          "roots": (False, UNIT_NORM_TOL), "period": (False, UNIT_NORM_TOL)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_NOT_POSITIVE), st.lists(_HUGE, min_size=4, max_size=4),
+       st.floats(-4.0, 4.0))
+def test_gated_ops_answer_ok_only_when_the_exact_gate_quantity_is_one(params, comps, theta):
+    l1, l2, l3 = map(Fraction, (params.lambda1, params.lambda2, params.lambda3))
+    form = sum(w * Fraction(x) ** 2 for w, x in zip((l1 * l2, l1 * l3, l2 * l3), comps[1:]))
+    for op, (on_vector, tol) in _GATES.items():
+        operands = [comps[1:], theta] if on_vector else [comps]
+        request = {"params": [params.lambda1, params.lambda2, params.lambda3], "op": op,
+                   "operands": operands, "options": {"n": 2}}
+        response, _ = execute_request(request)
+        if response["status"] == "ok":
+            exact = form if on_vector else Fraction(comps[0]) ** 2 + form
+            assert abs(exact - 1) <= tol, (request, response)
 
 
 # Every test family, and a triple whose product l12 overflows (the constructor takes it).
