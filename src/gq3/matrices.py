@@ -42,8 +42,9 @@ class _TaggedMatrix(tuple):
     ``m[i, j]`` reads one entry, and ``json`` writes the matrix as nested
     arrays.  ``@`` between two matrices of the same shape is computed here,
     each entry summed left to right from 0.0, and keeps the tag of the left
-    operand.  numpy reads the rows as a sequence: ``np.asarray(m)`` gives a float64 array.
-    The tag is provenance only; it and every other attribute are read-only.
+    operand.  numpy reads the rows as a sequence: ``np.asarray(m)`` gives a
+    float64 array.  The tag is provenance only; it and every other attribute
+    are read-only.
     """
 
     shape: tuple[int, int] = ()
