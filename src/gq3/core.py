@@ -165,11 +165,6 @@ class ParamTriple(_Record):
         self.__dict__.update(lambda1=l1, lambda2=l2, lambda3=l3, _lam=lam,
                              l12=l1 * l2, l13=l1 * l3, l23=l2 * l3)
 
-    @property
-    def is_positive(self) -> bool:
-        """True when all three parameters are strictly positive."""
-        return self.lambda1 > 0 and self.lambda2 > 0 and self.lambda3 > 0
-
 
 # Each named family's triple, written once; family() builds the ParamTriple.
 _FAMILIES = {

@@ -123,7 +123,7 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
     positive definite) and a unit axis; equals
     adjoint_group(cos(theta/2) + axis*sin(theta/2)).
     """
-    if not axis.params.is_positive:
+    if not is_compact(axis.params):
         raise NotPositiveFamily(
             f"rotation decomposition needs all lambdas > 0, got {axis.params._lam}")
     _require_unit_axis(axis, axis_tol, "axis")
@@ -175,4 +175,4 @@ def is_compact(params: ParamTriple) -> bool:
     True exactly when all three parameters are positive; then the Killing
     form is negative definite on nonzero vectors.
     """
-    return params.is_positive
+    return params.lambda1 > 0 and params.lambda2 > 0 and params.lambda3 > 0

@@ -35,6 +35,7 @@ from gq3 import (
     euler_exp,
     euler_exp_matrix,
     family,
+    is_compact,
     killing_form,
     left_matrix,
     matrix_pow,
@@ -162,8 +163,10 @@ def test_null_gate_follows_scaling_by_powers_of_two(pair):
 
 
 # The families whose form is not positive definite, where terms of opposite sign or a zero
-# weight can turn an overflowing gate quantity into NaN.
-_NOT_POSITIVE = [params for params in FAMILIES if not params.is_positive]
+# weight can turn an overflowing gate quantity into NaN, and a positive triple whose weight
+# l12 overflows, so that rodrigues passes its family check and reaches its gate.
+_GATE_TRIPLES = [*(params for params in FAMILIES if not is_compact(params)),
+                 ParamTriple(1e200, 1e200, 1.0)]
 _HUGE = st.floats(1e150, 1e308) | st.floats(-1e308, -1e150)
 # Gated op -> (whether its gate reads f(v, v) of the vector part, else the norm; tolerance).
 _GATES = {"exp": (True, UNIT_AXIS_TOL), "exp-matrix": (True, UNIT_AXIS_TOL),
@@ -172,7 +175,7 @@ _GATES = {"exp": (True, UNIT_AXIS_TOL), "exp-matrix": (True, UNIT_AXIS_TOL),
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(_NOT_POSITIVE), st.lists(_HUGE, min_size=4, max_size=4),
+@given(st.sampled_from(_GATE_TRIPLES), st.lists(_HUGE, min_size=4, max_size=4),
        st.floats(-4.0, 4.0))
 def test_gated_ops_answer_ok_only_when_the_exact_gate_quantity_is_one(params, comps, theta):
     l1, l2, l3 = map(Fraction, (params.lambda1, params.lambda2, params.lambda3))
@@ -185,6 +188,23 @@ def test_gated_ops_answer_ok_only_when_the_exact_gate_quantity_is_one(params, co
         if response["status"] == "ok":
             exact = form if on_vector else Fraction(comps[0]) ** 2 + form
             assert abs(exact - 1) <= tol, (request, response)
+
+
+# Requests whose gate quantity overflows to NaN in floating point; each used to pass its gate.
+@pytest.mark.parametrize("params,op,operands,code,message", [
+    ("split", "exp", [[1e200, 1e200, 0.0], 0.5], "not_unit_vector", "f(v, v) = nan != 1"),
+    ("split", "exp-matrix", [[1e200, 1e200, 0.0], 0.5], "not_unit_vector",
+     "f(axis, axis) = nan != 1"),
+    ("split", "matrix-pow", [[0.0, 1e200, 1e200, 0.0]], "non_unit", "norm nan != 1; "),
+    ("split", "period", [[0.0, 1e200, 1e200, 0.0]], "non_unit", "norm nan != 1; "),
+    ([1e200, 1e200, 1.0], "rodrigues", [[-0.0, -1.9, 0.0], 0.5], "not_unit_vector",
+     "f(axis, axis) = nan != 1"),
+])
+def test_nan_gate_quantities_answer_the_gate_error(params, op, operands, code, message):
+    request = {"params": params, "op": op, "operands": operands, "options": {"n": 2}}
+    response, exit_code = execute_request(request)
+    assert (exit_code, response["status"], response.get("code")) == (1, "error", code), response
+    assert response["message"].startswith(message)
 
 
 # Every test family, and a triple whose product l12 overflows (the constructor takes it).

@@ -106,14 +106,14 @@ def _request_files(directory: Path, count: int, seeds, workload_lines) -> list[P
     return files
 
 
-def compare(parent_src: Path, child_src: Path = ROOT / "src", count: int = 40000,
-            seeds=SEEDS, workload_lines: int | None = None) -> Report:
+def compare(parent_src: Path, count: int = 40000, seeds=SEEDS,
+            workload_lines: int | None = None) -> Report:
     """Answer the same requests with both trees' ``src`` and count where they differ."""
     report = Report()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = _request_files(tmp, count, seeds, workload_lines)
-        for side, src in (("parent", parent_src), ("change", child_src)):
+        for side, src in (("parent", parent_src), ("change", ROOT / "src")):
             (tmp / side).mkdir()
             subprocess.run([sys.executable, "-I", "-B", "-c", _DRIVER, str(src), str(tmp / side),
                             *map(str, files)], check=True)
