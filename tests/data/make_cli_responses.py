@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import random
 from pathlib import Path
 
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 400
+COUNT = 418
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -79,6 +80,20 @@ FIXED = [
      "options": {"tolerance": "big"}},
     ["not", "an", "object"],
 ]
+# JSON's non-finite literals NaN, Infinity and -Infinity, which Python's decoder accepts, in
+# each place a number is read: a quaternion, a vector, an operand object's components, a
+# params list, a scalar operand and the tolerance.
+FIXED += [request
+          for x in (math.nan, math.inf, -math.inf)
+          for request in (
+              {"params": "hamilton", "op": "norm", "operands": [[x, 0, 0, 0]]},
+              {"params": "hamilton", "op": "bilinear", "operands": [[1, 0, 0], [0, x, 0]]},
+              {"params": "hamilton", "op": "conj",
+               "operands": [{"components": [0, 0, 0, x], "params": "split"}]},
+              {"params": [1, x, 1], "op": "norm", "operands": [[1, 0, 0, 0]]},
+              {"params": "hamilton", "op": "scale", "operands": [x, [1, 0, 0, 0]]},
+              {"params": "hamilton", "op": "period", "operands": [[1, 0, 0, 0]],
+               "options": {"tolerance": x}})]
 
 
 def _number(rng: random.Random) -> float:
@@ -116,7 +131,7 @@ def _answer(request) -> tuple[int, str]:
     return code, out.getvalue().rstrip("\n")
 
 
-def main() -> None:
+def main(path: Path = OUT) -> None:
     rng = random.Random(SEED)
     lines = []
     requests = iter(FIXED)
@@ -126,7 +141,7 @@ def main() -> None:
         op = request.get("op") if isinstance(request, dict) else None
         if op in LIBM_FREE_OPS or json.loads(response).get("code") in BEFORE_ANGLE_CODES:
             lines.append(json.dumps({"request": request, "exit": code, "response": response}))
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

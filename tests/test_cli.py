@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, JSON wire format, exit codes, batch mode."""
 
+import importlib.util
 import io
 import json
 import math
@@ -557,6 +558,15 @@ def test_cli_bytes_match_the_committed_responses(tmp_path):
     codes = {json.loads(case["response"]).get("code") for case in cases}
     assert set(OPS) <= ops
     assert STABLE_CODES - codes == {"no_period", "congruence_violation"}  # known after atan2
+
+
+def test_generator_writes_the_committed_responses(tmp_path):
+    spec = importlib.util.spec_from_file_location("make_cli_responses",
+                                                  CLI_RESPONSES.with_name("make_cli_responses.py"))
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.main(tmp_path / "responses.ndjson")
+    assert (tmp_path / "responses.ndjson").read_bytes() == CLI_RESPONSES.read_bytes()
 
 
 @pytest.mark.parametrize("params,rows", [

@@ -17,7 +17,9 @@ def test_diff_parent_finds_no_difference_in_a_copy_and_reports_a_planted_one(tmp
     small = dict(count=150, seeds=(1,), workload_lines=100)
 
     report = diff_parent.compare(parent, **small)
-    assert report.lines == 150 + 2 * 100
+    fixed = diff_parent._load("make_cli_responses",
+                              ROOT / "tests" / "data" / "make_cli_responses.py").FIXED
+    assert report.lines == len(fixed) + 150 + 2 * 100
     assert report.differences == {}
     assert report.exits["parent"] == report.exits["change"]
     assert set(report.exits["parent"]) == {"0", "1", "2"}

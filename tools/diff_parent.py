@@ -5,8 +5,8 @@ Run from the repository root::
     python tools/diff_parent.py --parent HEAD~1 [--count 40000]
 
 The parent's ``src`` is exported with ``git archive`` into a temporary directory.  Both
-trees answer the same requests: ``--count`` requests from the generator of
-tests/data/make_cli_responses.py (every op over the test families, two overflowing
+trees answer the same requests: the ``FIXED`` requests of tests/data/make_cli_responses.py
+and ``--count`` more from its generator (every op over the test families, two overflowing
 triples, edge operands, unit inputs, operand-level params and integer options up to 400
 digits), then the batch_mixed and batch_matrix workload files of bench/workloads.py at
 seeds 1, 47 and 121.  Each tree answers in its own interpreter, with no bytecode cache:
@@ -96,8 +96,9 @@ def _request_files(directory: Path, count: int, seeds, workload_lines) -> list[P
     responses = _load("make_cli_responses", ROOT / "tests" / "data" / "make_cli_responses.py")
     workloads = _load("workloads", ROOT / "bench" / "workloads.py")
     rng = random.Random(responses.SEED)
+    requests = [*responses.FIXED, *(responses._request(rng) for _ in range(count))]
     files = [directory / "generated.ndjson"]
-    files[0].write_text("".join(json.dumps(responses._request(rng)) + "\n" for _ in range(count)),
+    files[0].write_text("".join(json.dumps(request) + "\n" for request in requests),
                         encoding="utf-8")
     for name in WORKLOADS:
         for seed in seeds:
@@ -152,8 +153,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         report = compare(_export(args.parent, Path(tmp)), count=args.count)
-    print(f"{report.lines} lines: {args.count} generated, {', '.join(WORKLOADS)} at seeds "
-          f"{', '.join(map(str, SEEDS))}")
+    print(f"{report.lines} lines: the fixed requests, {args.count} generated, "
+          f"{', '.join(WORKLOADS)} at seeds {', '.join(map(str, SEEDS))}")
     for side, exits in report.exits.items():
         print(f"exit codes 0/1/2, {side}: " + "/".join(str(exits[c]) for c in "012"))
     print(f"differing lines: {sum(report.differences.values())}")
