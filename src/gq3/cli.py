@@ -107,47 +107,45 @@ def _parse_params(value: object) -> ParamTriple:
     raise RequestError(f"cannot interpret params {value!r}")
 
 
-# Operand kind -> (component count, value type, name used in messages).
-_SHAPES = {"quat": (4, GQuat, "quaternion"), "vec": (3, GVec3, "vector")}
+def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple], object]:
+    """The coercer of one operand kind: a literal of ``size`` components -> a ``cls``."""
+    def coerce(value, params):
+        # An operand may carry its own triple: "0,1,0,0@2,3,5" on the command
+        # line, {"components": ..., "params": ...} in batch requests.  Mixing
+        # triples is then reported by the library as a domain error.
+        if not isinstance(value, (list, tuple)):
+            if isinstance(value, dict):
+                if set(value) - {"components", "params"}:
+                    raise RequestError(
+                        f"operand object allows keys components/params, got {value!r}")
+                if "components" not in value:
+                    raise RequestError(f"operand object needs 'components': {value!r}")
+                if "params" in value:
+                    params = parse_params(value["params"])
+                value = value["components"]
+            elif isinstance(value, str) and "@" in value:
+                value, _, suffix = value.partition("@")
+                params = parse_params(suffix)
+            if isinstance(value, str):
+                return cls._of(*_parse_numbers(value, size, what), params)
+        if isinstance(value, (list, tuple)) and len(value) == size:
+            try:
+                return cls._of(*map(float, value), params)
+            except (TypeError, ValueError) as exc:
+                raise RequestError(f"bad {what} {value!r}: {exc}") from None
+        raise RequestError(f"expected a {what} ({size} components), got {value!r}")
+
+    return coerce
 
 
-def _coerce(kind: str, value: object, params: ParamTriple):
-    """Turn one operand literal of the given kind into a library value."""
-    if kind == "scalar":
-        return _coerce_scalar(value)
-    size, cls, what = _SHAPES[kind]
-    # An operand may carry its own triple: "0,1,0,0@2,3,5" on the command
-    # line, {"components": ..., "params": ...} in batch requests.  Mixing
-    # triples is then reported by the library as a domain error.
-    if isinstance(value, dict):
-        if set(value) - {"components", "params"}:
-            raise RequestError(f"operand object allows keys components/params, got {value!r}")
-        if "components" not in value:
-            raise RequestError(f"operand object needs 'components': {value!r}")
-        if "params" in value:
-            params = parse_params(value["params"])
-        value = value["components"]
-    elif isinstance(value, str) and "@" in value:
-        value, _, suffix = value.partition("@")
-        params = parse_params(suffix)
-    if isinstance(value, str):
-        return cls(*_parse_numbers(value, size, what), params)
-    if isinstance(value, (list, tuple)) and len(value) == size:
-        try:
-            return cls(*map(float, value), params)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad {what} {value!r}: {exc}") from None
-    raise RequestError(f"expected a {what} ({size} components), got {value!r}")
-
-
-def _coerce_scalar(value: object) -> float:
-    if isinstance(value, str):
+def _scalar(value: object, params: ParamTriple) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        number = float(value)
+    elif isinstance(value, str):
         try:
             number = float(value)
         except ValueError:
             raise RequestError(f"expected a number, got {value!r}") from None
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(value)
     else:
         raise RequestError(f"expected a number, got {value!r}")
     # Rejected here like a non-finite quaternion component, not left to
@@ -155,6 +153,11 @@ def _coerce_scalar(value: object) -> float:
     if not math.isfinite(number):
         raise RequestError(f"expected a finite number, got {value!r}")
     return number
+
+
+# Operand kind -> its coercer: (literal, the request's triple) -> library value.
+_COERCE = {"quat": _coercer(4, GQuat, "quaternion"), "vec": _coercer(3, GVec3, "vector"),
+           "scalar": _scalar}
 
 
 def _require_int_option(options: dict, key: str) -> int:
@@ -168,21 +171,15 @@ def _require_int_option(options: dict, key: str) -> int:
     return value
 
 
-def _tolerance(options: dict, op_name: str, keyword: str | None) -> dict:
-    """Keyword arguments carrying the request's tolerance, if it gives one.
-
-    Without one the result is empty, so the library default applies.
-    """
-    tol = options.get("tolerance")
-    if tol is None:
-        return {}
+def _tolerance(tol: object, op_name: str, keyword: str | None) -> float:
+    """The request's tolerance ``tol`` as a float; without one the library default applies."""
     if keyword is None:
         raise RequestError(f"operation {op_name!r} takes no tolerance")
     if isinstance(tol, bool) or not isinstance(tol, (int, float)):
         raise RequestError(f"tolerance must be a number, got {tol!r}")
     value = float(tol)
     polar._check_tolerance(value, "tolerance")  # its ValueError is a bad_request
-    return {keyword: value}
+    return value
 
 
 # --- JSON encoding of results ------------------------------------------------
@@ -236,7 +233,8 @@ class OpSpec(_Record):
     op has none), then the integer options named in ``ints``.  A request's
     tolerance is passed under the keyword that ``tol`` names (``unit_tol`` or
     ``axis_tol``); an op whose ``tol`` is None rejects it.  The result is
-    written under ``tag``.
+    written under ``tag``.  What the row fixes for every request, the coercer of
+    each operand and the encoder of the result, is worked out once here.
     """
 
     __match_args__ = ("operands", "summary", "owner", "name", "tag", "ints", "tol",
@@ -246,6 +244,8 @@ class OpSpec(_Record):
     def __init__(self, operands: tuple[str, ...], summary: str, owner: object, name: str,
                  tag: str, ints: tuple[str, ...], tol: str | None, root_degree: bool):
         self._init_fields(operands, summary, owner, name, tag, ints, tol, root_degree)
+        self.__dict__.update(_coerce=tuple(map(_COERCE.__getitem__, operands)),
+                             _encode=_ENCODE[tag])
 
 
 def _op(operands: str, call: str, tag: str, summary: str, *, ints: str = "",
@@ -328,9 +328,9 @@ def execute_request(request: dict) -> tuple[dict, int]:
         if not isinstance(request, dict):
             raise RequestError("request must be a JSON object")
         op_name = request.get("op")
-        if not isinstance(op_name, str) or op_name not in OPS:
+        op = OPS.get(op_name) if isinstance(op_name, str) else None
+        if op is None:
             raise RequestError(f"unknown operation {op_name!r}")
-        op = OPS[op_name]
         params_field = request.get("params")
         if params_field is None:
             raise RequestError("request needs params (triple or family name)")
@@ -338,9 +338,10 @@ def execute_request(request: dict) -> tuple[dict, int]:
         raw_operands = request.get("operands", [])
         if not isinstance(raw_operands, list):
             raise RequestError("operands must be a list")
-        if len(raw_operands) != len(op.operands):
+        coercers = op._coerce
+        if len(raw_operands) != len(coercers):
             raise RequestError(
-                f"operation {op_name!r} needs {len(op.operands)} operand(s), "
+                f"operation {op_name!r} needs {len(coercers)} operand(s), "
                 f"got {len(raw_operands)}")
         options = request.get("options", {})
         if options is None:
@@ -348,35 +349,42 @@ def execute_request(request: dict) -> tuple[dict, int]:
         if not isinstance(options, dict):
             raise RequestError("options must be an object")
         # An op without operands acts on the parameter triple itself.
-        args = ([_coerce(kind, value, params) for kind, value in zip(op.operands, raw_operands)]
-                if op.operands else [params])
+        args = ([coerce(value, params) for coerce, value in zip(coercers, raw_operands)]
+                if coercers else [params])
         for key in op.ints:
             args.append(_require_int_option(options, key))
         if op.root_degree:
             polar._check_root_degree(args[-1])  # its ValueError is a bad_request
-        kwargs = _tolerance(options, op_name, op.tol)
+        tol = options.get("tolerance")
+        if tol is not None:
+            tol = _tolerance(tol, op_name, op.tol)
     except (RequestError, ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")
         # and integers too large for a float
         return _error("bad_request", exc), EXIT_USAGE
 
     try:
-        value = getattr(op.owner, op.name)(*args, **kwargs)
-        result = {op.tag: _ENCODE[op.tag](value)}
+        target = getattr(op.owner, op.name)
+        value = target(*args) if tol is None else target(*args, **{op.tol: tol})
+        result = {op.tag: op._encode(value)}
     except AlgebraError as exc:
         return _error(exc.code, exc), EXIT_DOMAIN_ERROR
     return {"status": "ok", "result": result}, EXIT_OK
 
 
-# One C encoder for every line: json.dumps with arguments builds one per call.  A
-# response is a tree of fresh lists and dicts and the library's immutable tuples, so it
-# cannot contain itself: no circular-reference pass (a dict insert and delete per container).
+# One C encoder for every line, made once: JSONEncoder.encode and json.dumps make one per
+# call.  A response is a tree of fresh lists and dicts and the library's immutable tuples, so
+# it cannot contain itself: no circular-reference pass.  _ENCODER, with the same settings,
+# serves where the interpreter has no C accelerator (c_make_encoder is None).
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+_c_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", False, False,
+    False)
 
 
 def _emit(response: dict, out) -> None:
     try:
-        text = _ENCODER.encode(response)
+        text = "".join(_c_encode(response, 0)) if _c_encode else _ENCODER.encode(response)
     except ValueError as exc:
         # A non-finite float the library let through (it checks them all): still one valid line.
         text = _ENCODER.encode(_error("non_finite", exc))

@@ -160,9 +160,10 @@ class ParamTriple(_Record):
         lam = lambda1, lambda2, lambda3
         _check_finite(self.__match_args__, lam, "")
         l1, l2, l3 = lam = tuple(map(float, lam))
-        # The kernels take _lam and multiply l1 * l2 inline; the pairwise products l12, l13,
-        # l23 serve metric_eps, killing_matrix and outside callers.
+        # The kernels take _lam and multiply l1 * l2 inline, and the null test _abs_lam; the
+        # pairwise products l12, l13, l23 serve metric_eps, killing_matrix and outside callers.
         self.__dict__.update(lambda1=l1, lambda2=l2, lambda3=l3, _lam=lam,
+                             _abs_lam=tuple(map(abs, lam)),
                              l12=l1 * l2, l13=l1 * l3, l23=l2 * l3)
 
 
@@ -238,16 +239,16 @@ class _Componentwise(_Record):
         if not isinstance(other, type(self)):
             return NotImplemented
         _require_same_params(self.params, other.params)
-        return type(self)(*map(operator.add, self.components, other.components), self.params)
+        return self._of(*map(operator.add, self.components, other.components), self.params)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         _require_same_params(self.params, other.params)
-        return type(self)(*map(operator.sub, self.components, other.components), self.params)
+        return self._of(*map(operator.sub, self.components, other.components), self.params)
 
     def __neg__(self):
-        return type(self)(*map(operator.neg, self.components), self.params)
+        return self._of(*map(operator.neg, self.components), self.params)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -265,7 +266,8 @@ class _Componentwise(_Record):
 
 
 # GQuat and GVec3, built on every operation, write __dict__ in their own __init__, and
-# __post_init__ runs once: checks, stores floats.
+# __post_init__ runs once: checks, stores floats.  _of takes floats a kernel or the CLI made:
+# no copy, one isfinite of their sum, _check_finite only to name the field or clear an overflow.
 class GQuat(_Componentwise):
     """A generalized quaternion a0 + a1*e1 + a2*e2 + a3*e3 over a fixed triple.
 
@@ -283,6 +285,15 @@ class GQuat(_Componentwise):
         _check_finite(("a0", "a1", "a2", "a3"), (a0, a1, a2, a3), "component ")
         d = self.__dict__
         d["a0"], d["a1"], d["a2"], d["a3"] = float(a0), float(a1), float(a2), float(a3)
+
+    @staticmethod
+    def _of(a0: float, a1: float, a2: float, a3: float, params: ParamTriple) -> "GQuat":
+        if not math.isfinite(a0 + a1 + a2 + a3):
+            _check_finite(("a0", "a1", "a2", "a3"), (a0, a1, a2, a3), "component ")
+        q = object.__new__(GQuat)
+        d = q.__dict__
+        d["params"], d["a0"], d["a1"], d["a2"], d["a3"] = params, a0, a1, a2, a3
+        return q
 
     # _Componentwise's classmethod, bound in GQuat's own namespace too: the tracing
     # check of bench/test_bench.py patches and restores it there.
@@ -304,7 +315,7 @@ class GQuat(_Componentwise):
         if isinstance(other, GQuat):
             _require_same_params(self.params, other.params)
             lam = self.params._lam
-            return GQuat(*_product(lam, self.components, other.components), self.params)
+            return GQuat._of(*_product(lam, self.components, other.components), self.params)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
@@ -313,7 +324,7 @@ class GQuat(_Componentwise):
 
     def conj(self) -> "GQuat":
         """Conjugate: keep the scalar part, negate the vector part."""
-        return GQuat(self.a0, -self.a1, -self.a2, -self.a3, self.params)
+        return GQuat._of(self.a0, -self.a1, -self.a2, -self.a3, self.params)
 
     def norm(self) -> float:
         """The (possibly negative) norm a0^2 + l12*a1^2 + l13*a2^2 + l23*a3^2.
@@ -327,7 +338,7 @@ class GQuat(_Componentwise):
         """The norm, and whether it vanishes beside the sum of its terms' sizes (``_vanishes``)."""
         lam, a = self.params._lam, self.components
         n = _dot(lam, a, a)
-        return n, _vanishes(n, _dot(tuple(map(abs, lam)), a, a), "norm")
+        return n, _vanishes(n, _dot(self.params._abs_lam, a, a), "norm")
 
     def _nonnull_norm(self) -> float:
         """The norm; raises ZeroNorm when it vanishes, NonFinite when its terms overflow."""
@@ -338,8 +349,8 @@ class GQuat(_Componentwise):
 
     def inverse(self) -> "GQuat":
         """Multiplicative inverse conj(p)/norm(p); raises ZeroNorm on null input."""
-        n = self._nonnull_norm()
-        return self.conj().scale(1.0 / n)
+        r = 1.0 / self._nonnull_norm()
+        return GQuat._of(r * self.a0, r * -self.a1, r * -self.a2, r * -self.a3, self.params)
 
     def dot(self, other: "GQuat") -> float:
         """Scalar product a0*b0 + l12*a1*b1 + l13*a2*b2 + l23*a3*b3.
@@ -366,6 +377,15 @@ class GVec3(_Componentwise):
         _check_finite(("a1", "a2", "a3"), (a1, a2, a3), "component ")
         d = self.__dict__
         d["a1"], d["a2"], d["a3"] = float(a1), float(a2), float(a3)
+
+    @staticmethod
+    def _of(a1: float, a2: float, a3: float, params: ParamTriple) -> "GVec3":
+        if not math.isfinite(a1 + a2 + a3):
+            _check_finite(("a1", "a2", "a3"), (a1, a2, a3), "component ")
+        v = object.__new__(GVec3)
+        d = v.__dict__
+        d["params"], d["a1"], d["a2"], d["a3"] = params, a1, a2, a3
+        return v
 
     def as_quat(self) -> GQuat:
         """Embed into the full algebra with zero scalar part (lossless)."""
@@ -402,7 +422,7 @@ def wedge(u: GVec3, v: GVec3) -> GVec3:
     if not (isinstance(u, GVec3) and isinstance(v, GVec3)):
         raise TypeError(f"wedge takes two GVec3, got {type(u).__name__} and {type(v).__name__}")
     _require_same_params(u.params, v.params)
-    return GVec3(*_wedge(u.params._lam, u.components, v.components), u.params)
+    return GVec3._of(*_wedge(u.params._lam, u.components, v.components), u.params)
 
 
 def wedge_triple_left(p: GVec3, q: GVec3, r: GVec3) -> GVec3:

@@ -57,7 +57,8 @@ def bracket(x: GVec3, y: GVec3) -> GVec3:
     (whose scalar parts cancel by symmetry of the bilinear form), which is
     twice the weighted cross product.
     """
-    return wedge(x, y).scale(2.0)
+    w = wedge(x, y)
+    return GVec3._of(2.0 * w.a1, 2.0 * w.a2, 2.0 * w.a3, w.params)
 
 
 def adjoint_group(p: GQuat) -> Mat3:
