@@ -369,6 +369,25 @@ def test_emit_writes_strict_json_for_an_unchecked_infinity():
     assert _strict_json(out.getvalue())["code"] == "non_finite"
 
 
+def test_emit_writes_the_same_bytes_without_the_c_accelerator(monkeypatch):
+    # _emit joins the chunks of one C encoder made at import; where the interpreter has
+    # none, it falls back to JSONEncoder.encode with the same settings.
+    responses = [execute_request(case)[0] for case in (
+        {"params": "2,3,5", "op": "roots", "operands": [[0.6, 0.8, 0, 0]], "options": {"n": 3}},
+        {"params": "hamilton", "op": "eigenvectors", "operands": [[1, 2, 3, 4]]},
+        {"params": "hamilton", "op": "\u00e9\n\"x\"", "operands": []})]
+    responses.append({"status": "ok", "result": {"scalar": -math.inf}})
+    texts = []
+    for c_encode in (cli._c_encode, None):
+        monkeypatch.setattr(cli, "_c_encode", c_encode)
+        out = io.StringIO()
+        for response in responses:
+            _emit(response, out)
+        texts.append(out.getvalue())
+    assert cli._c_encode is None and texts[0] == texts[1]
+    assert texts[0].count("\n") == len(responses) and "\\u00e9" in texts[0]
+
+
 def test_help_is_available():
     code, out, err = run(["--help"])
     assert code == 0

@@ -13,6 +13,7 @@ from gq3 import (
     EigenPair,
     GQuat,
     GVec3,
+    NonFinite,
     ParamMismatch,
     ParamTriple,
     PolarForm,
@@ -26,7 +27,7 @@ from gq3 import (
     wedge_triple_left,
     wedge_triple_right,
 )
-from gq3.cli import OPS, OpSpec
+from gq3.cli import OPS, OpSpec, execute_request
 from helpers import FAMILIES, quat_close, random_quat, random_vec, rel_close, vec_close
 
 from _hamilton import HQuat
@@ -568,3 +569,58 @@ def test_norm_multiplicative_property(l1, l2, l3, a0, a1, a2, a3, b0, b1, b2, b3
     q = GQuat(b0, b1, b2, b3, params)
     scale = _assoc_scale(p, q) ** 2
     assert abs((p * q).norm() - p.norm() * q.norm()) <= 1e-9 * scale
+
+
+# --- construction: the public constructor copies, kernels build from floats ----------------
+
+
+def test_public_constructors_store_floats_from_any_real_number():
+    import numpy as np
+
+    q = GQuat(1, True, np.float64(2.5), -3, H)
+    v = GVec3(False, np.float64(-0.5), 7, H)
+    for value, expected in ((q, (1.0, 1.0, 2.5, -3.0)), (v, (0.0, -0.5, 7.0))):
+        assert value.components == expected
+        assert all(type(x) is float for x in value.components)
+
+
+_KERNEL_BUILT = {
+    "mul": lambda p, q, u, v: p * q,
+    "add": lambda p, q, u, v: p + q,
+    "sub": lambda p, q, u, v: p - q,
+    "neg": lambda p, q, u, v: -u,
+    "conj": lambda p, q, u, v: p.conj(),
+    "inverse": lambda p, q, u, v: p.inverse(),
+    "wedge": lambda p, q, u, v: wedge(u, v),
+    "bracket": lambda p, q, u, v: bracket(u, v),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_KERNEL_BUILT))
+@pytest.mark.parametrize("params", FAMILIES)
+def test_kernel_built_values_keep_the_public_contract(rng, params, build):
+    p, q = random_quat(rng, params), random_quat(rng, params)
+    u, v = random_vec(rng, params), random_vec(rng, params)
+    value = _KERNEL_BUILT[build](p, q, u, v)
+    public = type(value)(*value.components, params)
+    assert [x.hex() for x in value.components] == [x.hex() for x in public.components]
+    assert all(type(x) is float for x in value.components)
+    assert value == public and hash(value) == hash(public) and repr(value) == repr(public)
+    assert vars(value) == vars(public) and value.params is params
+    for write in (lambda: setattr(value, "a1", 0.0), lambda: delattr(value, "a1"),
+                  lambda: setattr(value, "foo", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            write()
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_overflowing_kernel_results_still_raise_nonfinite(op):
+    big = GQuat(1e308, 0.0, 0.0, 0.0, H)
+    other = GQuat(10.0, 0.0, 0.0, 0.0, H) if op == "mul" else big
+    with pytest.raises(NonFinite, match=r"^component a0 must be finite, got inf$"):
+        _KERNEL_BUILT[op](big, other, None, None)
+    response, code = execute_request({"params": "hamilton", "op": op,
+                                      "operands": [list(big.components),
+                                                   list(other.components)]})
+    assert (response, code) == ({"status": "error", "code": "non_finite",
+                                 "message": "component a0 must be finite, got inf"}, 1)
