@@ -127,10 +127,10 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
                 value, _, suffix = value.partition("@")
                 params = parse_params(suffix)
             if isinstance(value, str):
-                return cls._of(*_parse_numbers(value, size, what), params)
+                return cls._of(_parse_numbers(value, size, what), params)
         if isinstance(value, (list, tuple)) and len(value) == size:
             try:
-                return cls._of(*map(float, value), params)
+                return cls._of(map(float, value), params)
             except (TypeError, ValueError) as exc:
                 raise RequestError(f"bad {what} {value!r}: {exc}") from None
         raise RequestError(f"expected a {what} ({size} components), got {value!r}")
@@ -168,17 +168,6 @@ def _require_int_option(options: dict, key: str) -> int:
         if isinstance(value, float) and value.is_integer():
             return int(value)
         raise RequestError(f"option --{key} must be an integer, got {value!r}")
-    return value
-
-
-def _tolerance(tol: object, op_name: str, keyword: str | None) -> float:
-    """The request's tolerance ``tol`` as a float; without one the library default applies."""
-    if keyword is None:
-        raise RequestError(f"operation {op_name!r} takes no tolerance")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise RequestError(f"tolerance must be a number, got {tol!r}")
-    value = float(tol)
-    polar._check_tolerance(value, "tolerance")  # its ValueError is a bad_request
     return value
 
 
@@ -349,15 +338,22 @@ def execute_request(request: dict) -> tuple[dict, int]:
         if not isinstance(options, dict):
             raise RequestError("options must be an object")
         # An op without operands acts on the parameter triple itself.
-        args = ([coerce(value, params) for coerce, value in zip(coercers, raw_operands)]
-                if coercers else [params])
+        args = [] if coercers else [params]
+        for coerce, value in zip(coercers, raw_operands):
+            args.append(coerce(value, params))
         for key in op.ints:
             args.append(_require_int_option(options, key))
         if op.root_degree:
             polar._check_root_degree(args[-1])  # its ValueError is a bad_request
+        # Without a tolerance the call passes none, so the library default applies.
         tol = options.get("tolerance")
         if tol is not None:
-            tol = _tolerance(tol, op_name, op.tol)
+            if op.tol is None:
+                raise RequestError(f"operation {op_name!r} takes no tolerance")
+            if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+                raise RequestError(f"tolerance must be a number, got {tol!r}")
+            tol = float(tol)
+            polar._check_tolerance(tol, "tolerance")  # its ValueError is a bad_request
     except (RequestError, ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")
         # and integers too large for a float

@@ -239,16 +239,16 @@ class _Componentwise(_Record):
         if not isinstance(other, type(self)):
             return NotImplemented
         _require_same_params(self.params, other.params)
-        return self._of(*map(operator.add, self.components, other.components), self.params)
+        return self._of(map(operator.add, self.components, other.components), self.params)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         _require_same_params(self.params, other.params)
-        return self._of(*map(operator.sub, self.components, other.components), self.params)
+        return self._of(map(operator.sub, self.components, other.components), self.params)
 
     def __neg__(self):
-        return self._of(*map(operator.neg, self.components), self.params)
+        return self._of(map(operator.neg, self.components), self.params)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -266,8 +266,8 @@ class _Componentwise(_Record):
 
 
 # GQuat and GVec3, built on every operation, write __dict__ in their own __init__, and
-# __post_init__ runs once: checks, stores floats.  _of takes floats a kernel or the CLI made:
-# no copy, one isfinite of their sum, _check_finite only to name the field or clear an overflow.
+# __post_init__ runs once: checks, stores floats.  _of takes the components a kernel or the CLI
+# made as floats: no copy, one isfinite of their sum, _check_finite only to name the field.
 class GQuat(_Componentwise):
     """A generalized quaternion a0 + a1*e1 + a2*e2 + a3*e3 over a fixed triple.
 
@@ -287,7 +287,8 @@ class GQuat(_Componentwise):
         d["a0"], d["a1"], d["a2"], d["a3"] = float(a0), float(a1), float(a2), float(a3)
 
     @staticmethod
-    def _of(a0: float, a1: float, a2: float, a3: float, params: ParamTriple) -> "GQuat":
+    def _of(comps, params: ParamTriple) -> "GQuat":
+        a0, a1, a2, a3 = comps
         if not math.isfinite(a0 + a1 + a2 + a3):
             _check_finite(("a0", "a1", "a2", "a3"), (a0, a1, a2, a3), "component ")
         q = object.__new__(GQuat)
@@ -315,7 +316,7 @@ class GQuat(_Componentwise):
         if isinstance(other, GQuat):
             _require_same_params(self.params, other.params)
             lam = self.params._lam
-            return GQuat._of(*_product(lam, self.components, other.components), self.params)
+            return GQuat._of(_product(lam, self.components, other.components), self.params)
         if isinstance(other, (int, float)):
             return self.scale(other)
         return NotImplemented
@@ -324,7 +325,7 @@ class GQuat(_Componentwise):
 
     def conj(self) -> "GQuat":
         """Conjugate: keep the scalar part, negate the vector part."""
-        return GQuat._of(self.a0, -self.a1, -self.a2, -self.a3, self.params)
+        return GQuat._of((self.a0, -self.a1, -self.a2, -self.a3), self.params)
 
     def norm(self) -> float:
         """The (possibly negative) norm a0^2 + l12*a1^2 + l13*a2^2 + l23*a3^2.
@@ -350,7 +351,7 @@ class GQuat(_Componentwise):
     def inverse(self) -> "GQuat":
         """Multiplicative inverse conj(p)/norm(p); raises ZeroNorm on null input."""
         r = 1.0 / self._nonnull_norm()
-        return GQuat._of(r * self.a0, r * -self.a1, r * -self.a2, r * -self.a3, self.params)
+        return GQuat._of((r * self.a0, r * -self.a1, r * -self.a2, r * -self.a3), self.params)
 
     def dot(self, other: "GQuat") -> float:
         """Scalar product a0*b0 + l12*a1*b1 + l13*a2*b2 + l23*a3*b3.
@@ -379,7 +380,8 @@ class GVec3(_Componentwise):
         d["a1"], d["a2"], d["a3"] = float(a1), float(a2), float(a3)
 
     @staticmethod
-    def _of(a1: float, a2: float, a3: float, params: ParamTriple) -> "GVec3":
+    def _of(comps, params: ParamTriple) -> "GVec3":
+        a1, a2, a3 = comps
         if not math.isfinite(a1 + a2 + a3):
             _check_finite(("a1", "a2", "a3"), (a1, a2, a3), "component ")
         v = object.__new__(GVec3)
@@ -422,7 +424,7 @@ def wedge(u: GVec3, v: GVec3) -> GVec3:
     if not (isinstance(u, GVec3) and isinstance(v, GVec3)):
         raise TypeError(f"wedge takes two GVec3, got {type(u).__name__} and {type(v).__name__}")
     _require_same_params(u.params, v.params)
-    return GVec3._of(*_wedge(u.params._lam, u.components, v.components), u.params)
+    return GVec3._of(_wedge(u.params._lam, u.components, v.components), u.params)
 
 
 def wedge_triple_left(p: GVec3, q: GVec3, r: GVec3) -> GVec3:

@@ -58,7 +58,7 @@ def bracket(x: GVec3, y: GVec3) -> GVec3:
     twice the weighted cross product.
     """
     w = wedge(x, y)
-    return GVec3._of(2.0 * w.a1, 2.0 * w.a2, 2.0 * w.a3, w.params)
+    return GVec3._of((2.0 * w.a1, 2.0 * w.a2, 2.0 * w.a3), w.params)
 
 
 def adjoint_group(p: GQuat) -> Mat3:
