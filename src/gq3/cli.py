@@ -110,7 +110,7 @@ def _parse_params(value: object) -> ParamTriple:
 def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple], object]:
     """The coercer of one operand kind: a literal of ``size`` components -> a ``cls``."""
     def coerce(value, params):
-        # A list of components, the batch form, skips the other two.  An operand may carry
+        # The list form, the one batch requests use, goes first.  An operand may also carry
         # its own triple: "0,1,0,0@2,3,5" on the command line, {"components": ..., "params":
         # ...} in batch requests.  Mixing triples is reported by the library as a domain error.
         if not isinstance(value, (list, tuple)):
