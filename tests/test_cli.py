@@ -377,6 +377,7 @@ def test_emit_writes_the_same_bytes_without_the_c_accelerator(monkeypatch):
         {"params": "hamilton", "op": "eigenvectors", "operands": [[1, 2, 3, 4]]},
         {"params": "hamilton", "op": "\u00e9\n\"x\"", "operands": []})]
     responses.append({"status": "ok", "result": {"scalar": -math.inf}})
+    assert (cli._c_encode is None) == (json.encoder.c_make_encoder is None)
     texts = []
     for c_encode in (cli._c_encode, None):
         monkeypatch.setattr(cli, "_c_encode", c_encode)
@@ -386,6 +387,22 @@ def test_emit_writes_the_same_bytes_without_the_c_accelerator(monkeypatch):
         texts.append(out.getvalue())
     assert cli._c_encode is None and texts[0] == texts[1]
     assert texts[0].count("\n") == len(responses) and "\\u00e9" in texts[0]
+
+
+@pytest.mark.parametrize("op,operands,answer", [
+    ("mul", [[1, True, 0, 0], [2, 0, 0, 0]], '"quat":[2.0,2.0,0.0,0.0]'),
+    ("wedge", [[1, 0, 0], [0, 1, 0]], '"vector":[0.0,0.0,1.0]'),
+    ("norm", [[1, "a", 0, 0]],
+     '"bad quaternion [1, \'a\', 0, 0]: could not convert string to float: \'a\'"'),
+    ("bilinear", [[1, 0, 0], [None, 0, 0]],
+     '"bad vector [None, 0, 0]: float() argument must be a string or a real number, '
+     'not \'NoneType\'"'),
+])
+def test_batch_components_are_copied_through_float(op, operands, answer):
+    # JSON integers and booleans become floats; any other component is a bad_request.
+    out = io.StringIO()
+    _emit(execute_request({"params": "hamilton", "op": op, "operands": operands})[0], out)
+    assert answer in out.getvalue()
 
 
 def test_help_is_available():

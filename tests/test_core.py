@@ -613,6 +613,16 @@ def test_kernel_built_values_keep_the_public_contract(rng, params, build):
             write()
 
 
+@pytest.mark.parametrize("params", FAMILIES)
+def test_inverse_and_bracket_keep_the_bits_of_their_public_routes(rng, params):
+    # inverse is one build of r * a0, r * -a1, ... and bracket one of 2.0 * w: the
+    # products conj().scale(1 / n) and wedge(...).scale(2.0) make.
+    p, u, v = random_quat(rng, params), random_vec(rng, params), random_vec(rng, params)
+    for built, public in ((p.inverse(), p.conj().scale(1.0 / p.norm())),
+                          (bracket(u, v), wedge(u, v).scale(2.0))):
+        assert [x.hex() for x in built.components] == [x.hex() for x in public.components]
+
+
 @pytest.mark.parametrize("op", ["mul", "add"])
 def test_overflowing_kernel_results_still_raise_nonfinite(op):
     big = GQuat(1e308, 0.0, 0.0, 0.0, H)
