@@ -7,9 +7,9 @@ Run from the repository root::
 The parent's ``src`` is exported with ``git archive`` into a temporary directory, and the
 batch_mixed and batch_matrix workload files are written with bench/workloads.py at
 ``--seed``.  Each pair runs one child process per side and workload, parent and change in
-turn, the side that goes first swapping from pair to pair.  A child (``python -I -B``: no
-site, no bytecode cache on either side) imports its tree's ``gq3.cli``, makes one warm-up
-pass over the workload and then three timed ones.  It reports the fastest of the three for
+turn, the side that goes first swapping from pair to pair.  A child (``python -I -B``:
+isolated from the environment, writing no bytecode; its import is not timed) imports its
+tree's ``gq3.cli``, makes one warm-up pass over the workload and then three timed ones.  It reports the fastest of the three for
 each layer, per line of the file:
 
 - ``decode``: ``json.loads`` of each line;
