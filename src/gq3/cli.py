@@ -233,7 +233,7 @@ class OpSpec(_Record):
     def __init__(self, operands: tuple[str, ...], summary: str, owner: object, name: str,
                  tag: str, ints: tuple[str, ...], tol: str | None, root_degree: bool):
         self._init_fields(operands, summary, owner, name, tag, ints, tol, root_degree)
-        self.__dict__.update(_coerce=tuple(map(_COERCE.__getitem__, operands)),
+        self.__dict__.update(_coercers=tuple(map(_COERCE.__getitem__, operands)),
                              _encode=_ENCODE[tag])
 
 
@@ -327,7 +327,7 @@ def execute_request(request: dict) -> tuple[dict, int]:
         raw_operands = request.get("operands", [])
         if not isinstance(raw_operands, list):
             raise RequestError("operands must be a list")
-        coercers = op._coerce
+        coercers = op._coercers
         if len(raw_operands) != len(coercers):
             raise RequestError(
                 f"operation {op_name!r} needs {len(coercers)} operand(s), "
