@@ -1,4 +1,4 @@
-"""tools/ab.py against a parent tree copied from this one: no git, small inputs, no timing claim."""
+"""tools/ab.py against a parent copied from this tree: no git, small inputs, no timing claim."""
 
 import importlib.util
 import shutil

@@ -9,8 +9,8 @@ batch_mixed and batch_matrix workload files are written with bench/workloads.py 
 ``--seed``.  Each pair runs one child process per side and workload, parent and change in
 turn, the side that goes first swapping from pair to pair.  A child (``python -I -B``:
 isolated from the environment, writing no bytecode; its import is not timed) imports its
-tree's ``gq3.cli``, makes one warm-up pass over the workload and then three timed ones.  It reports the fastest of the three for
-each layer, per line of the file:
+tree's ``gq3.cli``, makes one warm-up pass over the workload and then three timed ones.
+It reports the fastest of the three for each layer, per line of the file:
 
 - ``decode``: ``json.loads`` of each line;
 - ``execute``: ``cli.execute_request`` of each decoded request;
@@ -138,8 +138,8 @@ def _report(summary: dict) -> str:
         for layer, row in per_layer.items():
             old, new = (" / ".join(f"{row[side][q]:.2f}" for q in ("q1", "median", "q3"))
                         for side in ("parent_us", "change_us"))
-            rows.append(f"{name:<14}{layer:<9}{old:>28}{new:>28}"
-                        f"{row['change_wins']:>4}/{summary['pairs']:<2}{row['median_ratio']:>8.3f}")
+            wins = f"{row['change_wins']:>4}/{summary['pairs']:<2}"
+            rows.append(f"{name:<14}{layer:<9}{old:>28}{new:>28}{wins}{row['median_ratio']:>8.3f}")
     return "\n".join(rows)
 
 
