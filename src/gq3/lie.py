@@ -128,12 +128,18 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
         raise NotPositiveFamily(
             f"rotation decomposition needs all lambdas > 0, got {axis.params._lam}")
     _require_unit_axis(axis, axis_tol, "axis")
-    s = skew_of_axis(axis)
     c, st = _cos_sin(theta)
-    ct = 1.0 - c
-    # Entry by entry as (I + st*S) + ct*S^2: another order changes the last bits.
-    return Mat3([[float(i == j) + st * a + ct * b for j, (a, b) in enumerate(zip(row, sq_row))]
-                 for i, (row, sq_row) in enumerate(zip(s, s @ s))], axis.params)
+    return Mat3._of_rows(_rodrigues_rows(axis.params._lam, axis.components, st, 1.0 - c),
+                         axis.params)
+
+
+def _rodrigues_rows(lam, u, st, ct):
+    # Kernel (see core): rows of (I + st*S) + ct*S@S for the skew S of u, in that order and
+    # with S@S summed from 0.0 as @ sums it: another order changes the last bits.
+    s = _skew_rows(lam, u)
+    return tuple([tuple([float(i == j) + st * s[i][j] + ct * (
+        0.0 + s[i][0] * s[0][j] + s[i][1] * s[1][j] + s[i][2] * s[2][j]) for j in range(3)])
+        for i in range(3)])
 
 
 def ad_matrix(x: GVec3) -> Mat3:

@@ -250,7 +250,7 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
     DegenerateAxis is raised.  NonFinite is raised when it, D or an entry overflows.
     """
     t_plus, t_minus, den, heads = _eigen_of(p)
-    den_scale = abs(p.params.lambda1) * p.a2 * p.a2 + abs(p.params.lambda2) * p.a3 * p.a3
+    den_scale = _eigen_denominator(p.params._abs_lam, p.components)
     if _vanishes(den, den_scale, "eigenvector denominator lambda1*a2^2 + lambda2*a3^2"):
         raise DegenerateAxis(
             f"eigenvector denominator lambda1*a2^2 + lambda2*a3^2 = {den} vanishes")
@@ -279,4 +279,9 @@ def _eigen(lam, a, w):
              (l2 * a3 * w + l1 * l2 * a1 * a2, -(a2 * w - l2 * a1 * a3)),
              (-(l1 * a2 * w + l1 * l2 * a1 * a3), -(a3 * w - l1 * a1 * a2)),
              (-(l2 * a3 * w - l1 * l2 * a1 * a2), a2 * w + l2 * a1 * a3))
-    return a0 + w, a0 - w, l1 * a2 * a2 + l2 * a3 * a3, heads
+    return a0 + w, a0 - w, _eigen_denominator(lam, a), heads
+
+
+def _eigen_denominator(lam, a):
+    # Kernel (see core): lambda1*a2^2 + lambda2*a3^2, shared by the four eigenvectors.
+    return lam[0] * a[2] * a[2] + lam[1] * a[3] * a[3]

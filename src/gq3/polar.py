@@ -118,9 +118,13 @@ def demoivre_pow(p: GQuat, n: int) -> GQuat:
     Raises NonFinite when modulus^n, n*theta or a component overflows.
     """
     _require_int(n)
-    form = _axis_polar(p)
+    return _form_pow(_axis_polar(p), n)
+
+
+def _form_pow(form: PolarForm, n: int) -> GQuat:
+    # The nth power of the element whose polar form (with an axis) is ``form``.
     return PolarForm(_power(form.modulus, n), _angle(n, form.theta), form.axis,
-                     p.params).compose()
+                     form.params).compose()
 
 
 def polar_matrix(axis: GVec3, theta: float) -> Mat4:
@@ -301,4 +305,4 @@ def scaled_power_relation(p: GQuat, n: int, s: int) -> GQuat:
     m = _period(form.theta)
     if (n - s) % m != 0:
         raise CongruenceViolation(f"n - s = {(n - s) % m} != 0 (mod {m})")  # as in _power
-    return demoivre_pow(p, s).scale(_power(form.modulus, n - s))
+    return _form_pow(form, s).scale(_power(form.modulus, n - s))

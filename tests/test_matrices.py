@@ -26,7 +26,8 @@ from gq3 import (
     left_matrix,
     right_matrix,
 )
-from gq3.lie import adjoint_closed_form, adjoint_group, ad_matrix, skew_of_axis
+from gq3.lie import (ad_matrix, adjoint_closed_form, adjoint_group, adjoint_rodrigues,
+                     is_compact, skew_of_axis)
 from gq3.matrices import _TaggedMatrix
 from gq3.polar import euler_exp_matrix, matrix_pow, matrix_roots, polar_matrix
 from helpers import FAMILIES, as_array, random_quat, random_vec, rel_close
@@ -458,6 +459,8 @@ def _kernel_built(params, rng):
         built += [("matrix_pow", matrix_pow(unit, -5)),
                   ("euler_exp_matrix", euler_exp_matrix(axis, t)),
                   *((f"matrix_roots[{k}]", m) for k, m in enumerate(matrix_roots(unit, 8).roots))]
+    if is_compact(params):
+        built.append(("adjoint_rodrigues", adjoint_rodrigues(axis, t)))
     return built
 
 
@@ -523,6 +526,7 @@ def test_kernel_built_matrices_skip_the_public_constructor(monkeypatch):
     matrix_pow(unit, 3)
     left_matrix(unit)
     adjoint_group(unit)
+    adjoint_rodrigues(GVec3(0.0, 0.6, 0.8, H), 0.5)
     assert calls == []
     Mat4(np.eye(4), H)
     assert calls == [Mat4]

@@ -14,7 +14,7 @@ so every later proof rests on a kernel checked against that definition.
 import sympy as sp
 
 from gq3.core import _bilinear, _dot, _product, _wedge
-from gq3.lie import _adjoint_polynomials, _killing_of_form
+from gq3.lie import _adjoint_polynomials, _killing_of_form, _rodrigues_rows
 from gq3.matrices import _eigen, _mult_rows, _skew_rows
 from gq3.oracle import _table_product
 from gq3.polar import _compose
@@ -111,6 +111,16 @@ def test_adjoint_polynomials_are_conjugation_by_the_product():
         image = mul(mul(P, BASIS[j]), conj(P))
         assert vanishes(image[0], sp.Matrix(image[1:]) - adj[:, j - 1])
 
+
+
+def test_rodrigues_rows_are_the_adjoint_of_the_half_angle_element():
+    # At c = cos(t/2), s = sin(t/2): sin t = 2cs and 1 - cos t = 2s^2.  The kernel's 1.0 and
+    # 0.0 are made exact, then the difference is reduced modulo c^2 + s^2 = 1 and f(u, u) = 1.
+    c, s = sp.symbols("c s")
+    rows = sp.nsimplify(sp.Matrix(_rodrigues_rows(LAM, U, 2 * c * s, 2 * s ** 2)))
+    adj = sp.Matrix(_adjoint_polynomials(LAM, _compose(c, s, U)))
+    relations = sp.groebner([c ** 2 + s ** 2 - 1, _bilinear(LAM, U, U) - 1], c, s, *U, *LAM)
+    assert all(relations.reduce(sp.expand(e))[1] == 0 for e in rows - adj)
 
 def test_killing_form_is_trace_of_bracket_actions():
     def ad(x):

@@ -4,86 +4,61 @@ Run from the repository root::
 
     python tools/ab.py --parent HEAD~1 [--pairs 10] [--seed 1]
 
-The parent's ``src`` is exported with ``git archive`` into a temporary directory, and the
-batch_mixed and batch_matrix workload files are written with bench/workloads.py at
-``--seed``.  Each pair runs one child process per side and workload, parent and change in
-turn, the side that goes first swapping from pair to pair.  A child (``python -I -B``:
-isolated from the environment, writing no bytecode; its import is not timed) imports its
-tree's ``gq3.cli``, makes one warm-up pass over the workload and then three timed ones.
-It reports the fastest of the three for each layer, per line of the file:
+The parent's ``src`` is exported with ``git archive`` into a temporary directory.  Both
+trees' ``gq3`` are imported into this interpreter as the packages ``gq3_parent`` and
+``gq3_change``, writing no bytecode.  The batch_mixed and batch_matrix workloads of
+bench/workloads.py at ``--seed`` are cut into files of CHUNK lines.  Pair k times chunk
+k mod n of each workload with both trees in turn, after a ``gc.collect()`` each, the side
+that goes first swapping from pair to pair; pair 0 is a warm-up, and ``--pairs`` counts
+the pairs after it.  Each side gives, per line of the chunk:
 
 - ``decode``: ``json.loads`` of each line;
 - ``execute``: ``cli.execute_request`` of each decoded request;
 - ``encode``: ``cli._emit`` of each response into a string buffer;
-- ``main``: the wall time of ``cli.main(["batch", FILE])``, the three layers and the file read.
+- ``main``: ``cli.main(["batch", FILE])`` on the chunk's file: the three layers and the read.
 
-It writes the bytes ``cli.main`` printed, so the report can say whether both sides wrote the
-same.  The report gives each side's median and quartiles in microseconds per line, the pairs
-the change won and the median over pairs of change/parent, per layer and per workload.  Its
-last line is the same as one JSON object.
+The bytes ``cli.main`` printed are compared in every pair.  The report gives each side's
+median and quartiles in microseconds per line, the pairs the change won and the median
+change/parent ratio, per layer and workload; its last line is the same as one JSON object.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
+import io
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("batch_mixed", "batch_matrix")
 LAYERS = ("decode", "execute", "encode", "main")
 SIDES = ("parent", "change")
-
-# Run in each tree: argv is the tree's src, the workload file and the output file.  It prints
-# the seconds per line of each layer, in the order of LAYERS, as a JSON array.
-_CHILD = """
-import io, json, sys, time
-sys.path.insert(0, sys.argv[1])
-from gq3 import cli
-path, out_path = sys.argv[2], sys.argv[3]
-with open(path, "rb") as handle:
-    lines = [line.decode("utf-8").strip() for line in handle]
-lines = [line for line in lines if line]
-clock = time.perf_counter
-
-def layers():
-    t0 = clock()
-    requests = []
-    for line in lines:
-        try:
-            requests.append(json.loads(line))
-        except (ValueError, RecursionError):  # a malformed line: execute never sees it
-            pass
-    t1 = clock()
-    responses = [cli.execute_request(request)[0] for request in requests]
-    t2 = clock()
-    out = io.StringIO()
-    for response in responses:
-        cli._emit(response, out)
-    t3 = clock()
-    batch = io.StringIO()
-    cli.main(["batch", path], stdout=batch)
-    t4 = clock()
-    return [t1 - t0, t2 - t1, t3 - t2, t4 - t3], batch.getvalue()
-
-layers()
-passes = [layers() for _ in range(3)]
-with open(out_path, "w", encoding="utf-8") as handle:
-    handle.write(passes[-1][1])
-print(json.dumps([min(times) / len(lines) for times in zip(*(times for times, _ in passes))]))
-"""
+CHUNK = 500
 
 
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
+def _load(name: str, path: Path, search: list[str] | None = None):
+    # The module at ``path``, registered as ``name``; with ``search``, a package whose
+    # submodules are found there (``name``.core and so on, imported afresh).
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(name, path, submodule_search_locations=search)
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tree(side: str, src: Path):
+    """The ``cli`` module of the ``gq3`` under ``src``, imported as package ``gq3_<side>``."""
+    # A tree holding a bytecode cache would start faster and peak lower in later runs.
+    sys.dont_write_bytecode = True
+    _load(f"gq3_{side}", src / "gq3" / "__init__.py", [str(src / "gq3")])
+    return importlib.import_module(f"gq3_{side}.cli")
 
 
 def _quartiles(values) -> dict:
@@ -91,30 +66,53 @@ def _quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def _child(src: Path, workload: Path, out: Path) -> dict:
-    done = subprocess.run([sys.executable, "-I", "-B", "-c", _CHILD, str(src), str(workload),
-                           str(out)], check=True, capture_output=True, text=True)
-    return dict(zip(LAYERS, json.loads(done.stdout)))
+def _side(cli, lines: list[str], path: Path) -> tuple[dict, str]:
+    # One tree on one chunk: the seconds per line of each layer, and the bytes main printed.
+    gc.collect()
+    t0 = perf_counter()
+    requests = []
+    for line in lines:
+        try:
+            requests.append(json.loads(line))
+        except (ValueError, RecursionError):  # a malformed line: execute never sees it
+            pass
+    t1 = perf_counter()
+    responses = [cli.execute_request(request)[0] for request in requests]
+    t2 = perf_counter()
+    out = io.StringIO()
+    for response in responses:
+        cli._emit(response, out)
+    t3 = perf_counter()
+    batch = io.StringIO()
+    cli.main(["batch", str(path)], stdout=batch)
+    t4 = perf_counter()
+    times = (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+    return dict(zip(LAYERS, (t / len(lines) for t in times))), batch.getvalue()
 
 
 def compare(parent_src: Path, pairs: int = 10, seed: int = 1, lines: int | None = None) -> dict:
-    """Time both trees' ``src`` in alternating children; return the summary."""
+    """Time both trees' ``src`` on alternating chunks in this interpreter; return the summary."""
     workloads = _load("workloads", ROOT / "bench" / "workloads.py")
+    clis = {"parent": _tree("parent", parent_src), "change": _tree("change", ROOT / "src")}
     runs = {name: {side: [] for side in SIDES} for name in WORKLOADS}
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        files = {}
+        chunks = {name: [] for name in WORKLOADS}
         for name in WORKLOADS:
-            files[name] = tmp / f"{name}-{seed}.ndjson"
-            workloads.write(files[name], workloads.generate(name, seed, lines=lines)[0])
-        srcs = {"parent": parent_src, "change": ROOT / "src"}
-        for pair in range(pairs):
+            texts = workloads.generate(name, seed, lines=lines)[0]
+            for start in range(0, len(texts), CHUNK):
+                path = Path(tmp) / f"{name}-{start}.ndjson"
+                workloads.write(path, texts[start:start + CHUNK])
+                chunks[name].append((texts[start:start + CHUNK], path))
+        for pair in range(pairs + 1):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for name in WORKLOADS:
-                for side in order:
-                    runs[name][side].append(_child(srcs[side], files[name], tmp / f"{side}.out"))
-                identical &= (tmp / "parent.out").read_bytes() == (tmp / "change.out").read_bytes()
+                chunk = chunks[name][pair % len(chunks[name])]
+                timed = {side: _side(clis[side], *chunk) for side in order}
+                identical &= timed["parent"][1] == timed["change"][1]
+                if pair:  # pair 0 is the warm-up
+                    for side in SIDES:
+                        runs[name][side].append(timed[side][0])
     summary = {"seed": seed, "pairs": pairs, "identical_bytes": identical, "workloads": {}}
     for name in WORKLOADS:
         per_layer = summary["workloads"][name] = {}
@@ -146,7 +144,7 @@ def _report(summary: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of children")
+    parser.add_argument("--pairs", type=int, default=10, help="timed pairs of chunks")
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     args = parser.parse_args(argv)
     if args.pairs < 2:
