@@ -101,9 +101,9 @@ def compare(parent_src: Path, pairs: int = 10, seed: int = 1, lines: int | None 
         for name in WORKLOADS:
             texts = workloads.generate(name, seed, lines=lines)[0]
             for start in range(0, len(texts), CHUNK):
-                path = Path(tmp) / f"{name}-{start}.ndjson"
-                workloads.write(path, texts[start:start + CHUNK])
-                chunks[name].append((texts[start:start + CHUNK], path))
+                chunk, path = texts[start:start + CHUNK], Path(tmp) / f"{name}-{start}.ndjson"
+                workloads.write(path, chunk)
+                chunks[name].append((chunk, path))
         for pair in range(pairs + 1):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for name in WORKLOADS:
