@@ -193,14 +193,14 @@ _ENCODE: dict[str, Callable[[object], object]] = {
     "mat3": _as_is,
     "mat4": _as_is,
     "mat4_list": _as_is,
-    "roots": lambda rs: {"degree": rs.degree, "matrices": rs.roots},
+    "roots": lambda roots: {"degree": len(roots), "matrices": roots},
     "polar": lambda form: {
         "modulus": form.modulus,
         "theta": form.theta,
         "axis": form.axis.components if form.axis is not None else None,
     },
     # two conjugate values, each of algebraic multiplicity two
-    "complex_pair": lambda pair: [_complex(e.value) for e in pair],
+    "complex_pair": lambda pair: [_complex(z) for z in pair],
     "eigenvectors": lambda pairs: [
         {"value": _complex(e.value), "vector": [_complex(z) for z in e.vector]}
         for e in pairs
@@ -226,24 +226,22 @@ class OpSpec(_Record):
     each operand and the encoder of the result, is worked out once here.
     """
 
-    __match_args__ = ("operands", "summary", "owner", "name", "tag", "ints", "tol",
-                      "root_degree")
+    __match_args__ = ("operands", "owner", "name", "tag", "ints", "tol", "root_degree")
 
     # root_degree: option n is a root degree, from 1 to polar.MAX_ROOT_DEGREE.
-    def __init__(self, operands: tuple[str, ...], summary: str, owner: object, name: str,
-                 tag: str, ints: tuple[str, ...], tol: str | None, root_degree: bool):
-        self._init_fields(operands, summary, owner, name, tag, ints, tol, root_degree)
+    def __init__(self, operands: tuple[str, ...], owner: object, name: str, tag: str,
+                 ints: tuple[str, ...], tol: str | None, root_degree: bool):
+        self._init_fields(operands, owner, name, tag, ints, tol, root_degree)
         self.__dict__.update(_coercers=tuple(map(_COERCE.__getitem__, operands)),
                              _encode=_ENCODE[tag])
 
 
-def _op(operands: str, call: str, tag: str, summary: str, *, ints: str = "",
-        tol: str | None = None, root_degree: bool = False) -> OpSpec:
+def _op(operands: str, call: str, tag: str, *, ints: str = "", tol: str | None = None,
+        root_degree: bool = False) -> OpSpec:
     # ``call`` is "owner.name" or a bare name, both in this module's namespace.
     owner, _, name = call.rpartition(".")
-    return OpSpec(tuple(operands.split()), summary,
-                  globals()[owner] if owner else sys.modules[__name__], name, tag,
-                  tuple(ints.split()), tol, root_degree)
+    return OpSpec(tuple(operands.split()), globals()[owner] if owner else sys.modules[__name__],
+                  name, tag, tuple(ints.split()), tol, root_degree)
 
 
 def _det(q: GQuat) -> float:
@@ -251,56 +249,42 @@ def _det(q: GQuat) -> float:
 
 
 OPS: dict[str, OpSpec] = {
-    "add": _op("quat quat", "operator.add", "quat", "componentwise sum"),
-    "sub": _op("quat quat", "operator.sub", "quat", "componentwise difference"),
-    "scale": _op("scalar quat", "operator.mul", "quat", "scalar multiple"),
-    "mul": _op("quat quat", "operator.mul", "quat", "algebra product"),
-    "conj": _op("quat", "GQuat.conj", "quat", "conjugate"),
-    "norm": _op("quat", "GQuat.norm", "scalar", "indefinite norm"),
-    "inverse": _op("quat", "GQuat.inverse", "quat", "multiplicative inverse"),
-    "dot": _op("quat quat", "GQuat.dot", "scalar", "scalar product"),
-    "bilinear": _op("vec vec", "bilinear_f", "scalar", "bilinear form on vectors"),
-    "wedge": _op("vec vec", "wedge", "vector", "weighted cross product"),
-    "wedge-triple-left": _op("vec vec vec", "wedge_triple_left", "vector", "p ^ (q ^ r)"),
-    "wedge-triple-right": _op("vec vec vec", "wedge_triple_right", "vector", "(p ^ q) ^ r"),
-    "left-matrix": _op("quat", "matrices.left_matrix", "mat4", "left-multiplication matrix"),
-    "right-matrix": _op("quat", "matrices.right_matrix", "mat4",
-                        "right-multiplication matrix"),
-    "base-matrices": _op("", "matrices.base_matrices", "mat4_list",
-                         "matrices of the basis elements"),
-    "det": _op("quat", "_det", "scalar", "determinant of the left matrix"),
-    "char-poly": _op("quat", "matrices.char_poly", "char_poly", "characteristic polynomial"),
-    "eigenvalues": _op("quat", "matrices.eigenvalues", "complex_pair",
-                       "eigenvalues of the left matrix"),
-    "eigenvectors": _op("quat", "matrices.eigenvectors", "eigenvectors",
-                        "closed-form eigenvectors"),
-    "polar": _op("quat", "polar.to_polar", "polar", "polar decomposition"),
-    "pow": _op("quat", "polar.demoivre_pow", "quat",
-               "integer power by the angle map (needs --n)", ints="n"),
-    "matrix-pow": _op("quat", "polar.matrix_pow", "mat4",
-                      "matrix power for unit input (needs --n)", ints="n", tol="unit_tol"),
-    "exp": _op("vec scalar", "polar.euler_exp", "quat",
-               "exponential of a unit direction and angle", tol="axis_tol"),
-    "exp-matrix": _op("vec scalar", "polar.euler_exp_matrix", "mat4",
-                      "matrix exponential form", tol="axis_tol"),
-    "roots": _op("quat", "polar.matrix_roots", "roots",
-                 "all nth matrix roots for unit input (needs --n)",
-                 ints="n", tol="unit_tol", root_degree=True),
-    "period": _op("quat", "polar.power_period", "period",
-                  "power period of a unit elliptic quaternion", tol="unit_tol"),
-    "scaled-pow": _op("quat", "polar.scaled_power_relation", "quat",
-                      "reduce p^n to modulus^(n-s) p^s (needs --n, --s)", ints="n s"),
-    "bracket": _op("vec vec", "lie.bracket", "vector", "Lie bracket"),
-    "adjoint": _op("quat", "lie.adjoint_group", "mat3", "conjugation action on vectors"),
-    "skew": _op("vec", "lie.skew_of_axis", "mat3", "weighted skew matrix"),
-    "rodrigues": _op("vec scalar", "lie.adjoint_rodrigues", "mat3",
-                     "adjoint from axis and angle", tol="axis_tol"),
-    "ad": _op("vec", "lie.ad_matrix", "mat3", "bracket action matrix"),
-    "killing": _op("vec vec", "lie.killing_form", "scalar", "Killing form value"),
-    "killing-matrix": _op("", "lie.killing_matrix", "mat3",
-                          "Killing form over the vector basis"),
-    "epsilon": _op("", "lie.metric_eps", "mat3", "diagonal metric on vectors"),
-    "compact": _op("", "lie.is_compact", "bool", "is the unit group compact"),
+    "add": _op("quat quat", "operator.add", "quat"),
+    "sub": _op("quat quat", "operator.sub", "quat"),
+    "scale": _op("scalar quat", "operator.mul", "quat"),
+    "mul": _op("quat quat", "operator.mul", "quat"),
+    "conj": _op("quat", "GQuat.conj", "quat"),
+    "norm": _op("quat", "GQuat.norm", "scalar"),
+    "inverse": _op("quat", "GQuat.inverse", "quat"),
+    "dot": _op("quat quat", "GQuat.dot", "scalar"),
+    "bilinear": _op("vec vec", "bilinear_f", "scalar"),
+    "wedge": _op("vec vec", "wedge", "vector"),
+    "wedge-triple-left": _op("vec vec vec", "wedge_triple_left", "vector"),
+    "wedge-triple-right": _op("vec vec vec", "wedge_triple_right", "vector"),
+    "left-matrix": _op("quat", "matrices.left_matrix", "mat4"),
+    "right-matrix": _op("quat", "matrices.right_matrix", "mat4"),
+    "base-matrices": _op("", "matrices.base_matrices", "mat4_list"),
+    "det": _op("quat", "_det", "scalar"),
+    "char-poly": _op("quat", "matrices.char_poly", "char_poly"),
+    "eigenvalues": _op("quat", "matrices.eigenvalues", "complex_pair"),
+    "eigenvectors": _op("quat", "matrices.eigenvectors", "eigenvectors"),
+    "polar": _op("quat", "polar.to_polar", "polar"),
+    "pow": _op("quat", "polar.demoivre_pow", "quat", ints="n"),
+    "matrix-pow": _op("quat", "polar.matrix_pow", "mat4", ints="n", tol="unit_tol"),
+    "exp": _op("vec scalar", "polar.euler_exp", "quat", tol="axis_tol"),
+    "exp-matrix": _op("vec scalar", "polar.euler_exp_matrix", "mat4", tol="axis_tol"),
+    "roots": _op("quat", "polar.matrix_roots", "roots", ints="n", tol="unit_tol", root_degree=True),
+    "period": _op("quat", "polar.power_period", "period", tol="unit_tol"),
+    "scaled-pow": _op("quat", "polar.scaled_power_relation", "quat", ints="n s"),
+    "bracket": _op("vec vec", "lie.bracket", "vector"),
+    "adjoint": _op("quat", "lie.adjoint_group", "mat3"),
+    "skew": _op("vec", "lie.skew_of_axis", "mat3"),
+    "rodrigues": _op("vec scalar", "lie.adjoint_rodrigues", "mat3", tol="axis_tol"),
+    "ad": _op("vec", "lie.ad_matrix", "mat3"),
+    "killing": _op("vec vec", "lie.killing_form", "scalar"),
+    "killing-matrix": _op("", "lie.killing_matrix", "mat3"),
+    "epsilon": _op("", "lie.metric_eps", "mat3"),
+    "compact": _op("", "lie.is_compact", "bool"),
 }
 
 

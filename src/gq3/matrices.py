@@ -211,34 +211,39 @@ def char_poly(p: GQuat) -> CharPoly:
     c = _dot(p.params._lam, p.components, p.components)
     return CharPoly(
         # Checked low to high; finite coefficients make the quadratic's finite.
-        coefficients=tuple(map(_finite, (c * c, 2.0 * b * c, b * b + 2.0 * c, 2.0 * b, 1.0))),
+        coefficients=tuple(map(_finite, _char_coefficients(b, c))),
         quadratic=(c, b, 1.0),
     )
 
 
+def _char_coefficients(b, c):
+    # Kernel (see core): (t^2 + b*t + c)^2 expanded, coefficients low to high.
+    return (c * c, 2.0 * b * c, b * b + 2.0 * c, 2.0 * b, 1.0)
+
+
 class EigenPair(_Record):
-    """One eigenvalue of a left-multiplication matrix, optionally with a vector.
+    """One eigenvalue of a left-multiplication matrix with one of its eigenvectors.
 
-    Eigenvalues come in a conjugate pair, each of algebraic multiplicity two;
-    ``vector`` is None when only the value is being reported.
+    Each eigenvalue has multiplicity two, so ``eigenvectors`` gives two pairs
+    with the same ``value``.
     """
 
-    __match_args__ = ("value", "vector", "multiplicity")
+    __match_args__ = ("value", "vector")
 
-    def __init__(self, value: complex,
-                 vector: tuple[complex, complex, complex, complex] | None = None,
-                 multiplicity: int = 2):
-        self._init_fields(value, vector, multiplicity)
+    def __init__(self, value: complex, vector: tuple[complex, complex, complex, complex]):
+        self._init_fields(value, vector)
 
 
-def eigenvalues(p: GQuat) -> tuple[EigenPair, EigenPair]:
-    """Both eigenvalues a0 +/- sqrt(-D) of left_matrix(p), multiplicity 2 each.
+def eigenvalues(p: GQuat) -> tuple[complex, complex]:
+    """The two eigenvalues a0 + sqrt(-D) and a0 - sqrt(-D) of left_matrix(p).
 
-    D = f(p, p) is the weighted sum of squared vector components; the values
-    are a complex-conjugate pair when D > 0 and real when D <= 0.  Their
-    product is the quaternion norm.  Raises NonFinite when D overflows.
+    Each has multiplicity two: the characteristic polynomial is the square of
+    t^2 - 2*a0*t + norm.  D = f(p, p) is the weighted sum of squared vector
+    components; the values are a complex-conjugate pair when D > 0 and real
+    when D <= 0.  Their product is the quaternion norm.  Raises NonFinite when
+    D overflows.
     """
-    return tuple(map(EigenPair, _eigen_of(p)[:2]))
+    return _eigen_of(p)[:2]
 
 
 def eigenvectors(p: GQuat) -> list[EigenPair]:

@@ -23,7 +23,6 @@ from .matrices import Mat4, _mult_rows
 
 __all__ = [
     "PolarForm",
-    "RootSet",
     "to_polar",
     "demoivre_pow",
     "polar_matrix",
@@ -71,15 +70,6 @@ class PolarForm(_Record):
         if self.axis is None:
             return GQuat.scalar(c, self.params)
         return GQuat(*_compose(c, self.modulus * s, self.axis.components), self.params)
-
-
-class RootSet(_Record):
-    """All nth roots of a unit-quaternion matrix, indexed k = 0..degree-1."""
-
-    __match_args__ = ("degree", "roots")
-
-    def __init__(self, degree: int, roots: tuple[Mat4, ...]):
-        self._init_fields(degree, roots)
 
 
 def to_polar(p: GQuat) -> PolarForm:
@@ -263,11 +253,11 @@ def euler_exp_matrix(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_T
     return polar_matrix(axis, theta)
 
 
-def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> RootSet:
-    """All n matrix solutions of X^n = left_matrix(p) for unit elliptic p.
+def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> tuple[Mat4, ...]:
+    """The n matrix solutions of X^n = left_matrix(p) for unit elliptic p, as a tuple.
 
-    Root k is the polar matrix at angle (theta + 2*pi*k)/n with the same
-    axis, k = 0..n-1.  The degree n runs from 1 to MAX_ROOT_DEGREE.
+    Root k, at index k = 0..n-1, is the polar matrix at angle (theta + 2*pi*k)/n
+    with the same axis.  The degree n runs from 1 to MAX_ROOT_DEGREE.
     """
     _require_int(n)
     _check_root_degree(n)
@@ -275,8 +265,7 @@ def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> RootSe
     axis, theta = form.axis, form.theta
     # theta + 2*pi*k already associated as theta + (2*pi)*k: hoisting 2*pi keeps every bit.
     two_pi = 2.0 * math.pi
-    roots = tuple([polar_matrix(axis, (theta + two_pi * k) / n) for k in range(n)])
-    return RootSet(degree=n, roots=roots)
+    return tuple([polar_matrix(axis, (theta + two_pi * k) / n) for k in range(n)])
 
 
 def power_period(p: GQuat, *, unit_tol: float = UNIT_NORM_TOL) -> int | None:

@@ -27,7 +27,7 @@ from pathlib import Path
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 418
+COUNT = 432
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -94,6 +94,27 @@ FIXED += [request
               {"params": "hamilton", "op": "scale", "operands": [x, [1, 0, 0, 0]]},
               {"params": "hamilton", "op": "period", "operands": [[1, 0, 0, 0]],
                "options": {"tolerance": x}})]
+# The request layer's remaining branches: the shapes of operands, options and params it
+# refuses, one it accepts (options null), and integer options given as integral floats.
+FIXED += [
+    {"params": "hamilton", "op": "norm", "operands": {"p": [1, 0, 0, 0]}},
+    {"params": "hamilton", "op": "norm", "operands": [[1, 2, 3, 4]], "options": None},
+    {"params": "hamilton", "op": "norm", "operands": [[1, 2, 3, 4]], "options": [1]},
+    {"params": "hamilton", "op": "conj",
+     "operands": [{"components": [1, 0, 0, 0], "params": "split", "id": 1}]},
+    {"params": "hamilton", "op": "conj", "operands": [{"params": "split"}]},
+    {"params": 5, "op": "norm", "operands": [[1, 0, 0, 0]]},
+    {"params": "hamilton:1,2", "op": "norm", "operands": [[1, 0, 0, 0]]},
+    {"params": "nope:1,2", "op": "norm", "operands": [[1, 0, 0, 0]]},
+    {"params": "hamilton", "op": "norm", "operands": [[1, 2, 3]]},
+    {"params": "hamilton", "op": "norm", "operands": [5]},
+    {"params": "hamilton", "op": "scale", "operands": ["x", [1, 0, 0, 0]]},
+    {"params": "hamilton", "op": "scale", "operands": [[1], [1, 0, 0, 0]]},
+    {"params": "hamilton", "op": "matrix-pow", "operands": [[2, 0, 0, 0]],
+     "options": {"n": 2.0}},  # non_unit: n = 2.0 is taken as 2
+    {"params": "hamilton", "op": "roots", "operands": [[-0.5, 0.5, 0.5, 0.5]],
+     "options": {"n": 0.0}},
+]
 
 
 def _number(rng: random.Random) -> float:

@@ -265,6 +265,9 @@ def test_every_library_error_code_is_cli_reachable():
      "--tol", "1e-6"],
     ["--unknown-flag"],
     ["--params", "1,1,1", "roots", "-0.5,0.5,0.5,0.5", "--n", str(MAX_ROOT_DEGREE + 1)],
+    ["--params", "1,1,1", "pow", "-0.5,0.5,0.5,0.5", "--n"],  # flag without its value
+    ["batch"],                                              # batch needs one path
+    ["batch", "a", "b"],
 ])
 def test_malformed_input_exits_two_without_stdout(argv):
     code, out, err = run(argv)
@@ -692,7 +695,6 @@ def test_batch_answers_an_unreadable_line_and_goes_on(tmp_path, source, name, ne
 def test_registry_is_well_formed():
     for name, op in OPS.items():
         assert name == name.lower()
-        assert op.summary
         assert all(kind in ("quat", "vec", "scalar") for kind in op.operands)
 
 

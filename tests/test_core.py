@@ -17,12 +17,10 @@ from gq3 import (
     ParamMismatch,
     ParamTriple,
     PolarForm,
-    RootSet,
     ZeroNorm,
     bilinear_f,
     bracket,
     family,
-    left_matrix,
     wedge,
     wedge_triple_left,
     wedge_triple_right,
@@ -51,6 +49,8 @@ def test_family_rejects_unknown_names():
         family("octonion")
     with pytest.raises(ValueError):
         family("hamilton", 1.0)
+    with pytest.raises(ValueError, match="^2param family needs exactly two parameters$"):
+        family("2param", 1.0)
 
 
 def test_param_triple_rejects_non_finite():
@@ -149,6 +149,13 @@ def test_quaternions_and_vectors_do_not_mix():
     assert p == v.as_quat() and p != v and v != p
 
 
+def test_product_with_a_non_number_raises_type_error():
+    p = GQuat(0.0, 1.0, 2.0, 3.0, H)
+    for other in ("x", None, [1.0]):
+        with pytest.raises(TypeError):
+            p * other
+
+
 @pytest.mark.parametrize("cls", KINDS)
 def test_componentwise_ops_refuse_mixed_triples(cls):
     x = cls.basis(1, H)
@@ -172,17 +179,17 @@ def test_fields_and_params_are_the_record_fields(cls):
 
 # One value of each record type, and the same fields passed by keyword.
 _V = GVec3(0.6, 0.0, 0.8, H)
+_S = family("split")
 RECORDS = [
     (H, dict(lambda1=1.0, lambda2=1.0, lambda3=1.0)),
     (CharPoly((4.0, 3.0, 2.0, 1.0, 1.0), (1.0, 0.5, 1.0)),
      dict(coefficients=(4.0, 3.0, 2.0, 1.0, 1.0), quadratic=(1.0, 0.5, 1.0))),
-    (EigenPair(1 + 2j), dict(value=1 + 2j, vector=None, multiplicity=2)),
-    (EigenPair(1j, (1j, 0j, 1 + 0j, 0j), 1),
-     dict(value=1j, vector=(1j, 0j, 1 + 0j, 0j), multiplicity=1)),
+    (EigenPair(1j, (1j, 0j, 1 + 0j, 0j)), dict(value=1j, vector=(1j, 0j, 1 + 0j, 0j))),
+    (EigenPair(-1j, (0j, 1 + 0j, 0j, 1 + 0j)),
+     dict(value=-1j, vector=(0j, 1 + 0j, 0j, 1 + 0j))),
     (PolarForm(2.0, 0.5, _V, H), dict(modulus=2.0, theta=0.5, axis=_V, params=H)),
     (PolarForm(1.0, 0.0, None, H), dict(modulus=1.0, theta=0.0, axis=None, params=H)),
-    (RootSet(1, (left_matrix(GQuat.scalar(1.0, H)),)),
-     dict(degree=1, roots=(left_matrix(GQuat.scalar(1.0, H)),))),
+    (PolarForm(0.5, 0.0, None, _S), dict(modulus=0.5, theta=0.0, axis=None, params=_S)),
     (OPS["roots"], {name: getattr(OPS["roots"], name) for name in OpSpec.__match_args__}),
 ]
 

@@ -11,11 +11,13 @@ definition, the multiplication table, through ``gq3.oracle``'s table product,
 so every later proof rests on a kernel checked against that definition.
 """
 
+from functools import reduce
+
 import sympy as sp
 
 from gq3.core import _bilinear, _dot, _product, _wedge
 from gq3.lie import _adjoint_polynomials, _killing_of_form, _rodrigues_rows
-from gq3.matrices import _eigen, _mult_rows, _skew_rows
+from gq3.matrices import _char_coefficients, _eigen, _mult_rows, _skew_rows
 from gq3.oracle import _table_product
 from gq3.polar import _compose
 
@@ -98,6 +100,17 @@ def test_left_determinant_and_characteristic_polynomial():
     assert vanishes(lp.charpoly(t).as_expr() - quadratic ** 2)
 
 
+def test_char_coefficients_expand_the_squared_quadratic():
+    # Low to high, with the kernel's 2.0 and 1.0 made exact.
+    t, b, c = sp.symbols("t b c")
+    squared = sp.Poly((t ** 2 + b * t + c) ** 2, t).all_coeffs()[::-1]
+    assert vanishes(*(k - e for k, e in zip(sp.nsimplify(_char_coefficients(b, c)), squared)))
+    # At b = -2 a0 and c = N(p): the characteristic polynomial of the left matrix.
+    kernel = sp.nsimplify(_char_coefficients(-2 * P[0], norm(P)))
+    charpoly = left(P).charpoly(t).all_coeffs()[::-1]
+    assert vanishes(*(k - e for k, e in zip(kernel, charpoly)))
+
+
 def test_skew_is_wedge_and_antisymmetric_under_the_metric():
     s = sp.Matrix(_skew_rows(LAM, U))
     assert vanishes(s * sp.Matrix(V) - sp.Matrix(_wedge(LAM, U, V)))
@@ -112,7 +125,6 @@ def test_adjoint_polynomials_are_conjugation_by_the_product():
         assert vanishes(image[0], sp.Matrix(image[1:]) - adj[:, j - 1])
 
 
-
 def test_rodrigues_rows_are_the_adjoint_of_the_half_angle_element():
     # At c = cos(t/2), s = sin(t/2): sin t = 2cs and 1 - cos t = 2s^2.  The kernel's 1.0 and
     # 0.0 are made exact, then the difference is reduced modulo c^2 + s^2 = 1 and f(u, u) = 1.
@@ -121,6 +133,7 @@ def test_rodrigues_rows_are_the_adjoint_of_the_half_angle_element():
     adj = sp.Matrix(_adjoint_polynomials(LAM, _compose(c, s, U)))
     relations = sp.groebner([c ** 2 + s ** 2 - 1, _bilinear(LAM, U, U) - 1], c, s, *U, *LAM)
     assert all(relations.reduce(sp.expand(e))[1] == 0 for e in rows - adj)
+
 
 def test_killing_form_is_trace_of_bracket_actions():
     def ad(x):
@@ -166,3 +179,16 @@ def test_angle_addition_and_euler_on_the_compose_kernel():
     assert vanishes(sp.Matrix(mul(_compose(c1, s1, U), _compose(c2, s2, U)))
                     - sp.Matrix(_compose(c1 * c2 - s1 * s2 * f, s1 * c2 + c1 * s2, U)))
     assert vanishes(sp.Matrix(mul(pure(U), pure(U))) - sp.Matrix((-f, 0, 0, 0)))
+
+
+def test_compose_at_a_turn_of_2pi_over_m_has_period_m():
+    # c = cos(2pi/m) is exact for m = 3, 4, 6; the sine s stays a symbol with s^2 = 1 - c^2.
+    # With the homogeneity of the product this gives scaled_power_relation:
+    # p^n = modulus^(n - k) p^k for n = k (mod m).
+    s = sp.Symbol("s")
+    for m, c in ((3, sp.Rational(-1, 2)), (4, 0), (6, sp.Rational(1, 2))):
+        relations = sp.groebner([s ** 2 - (1 - c ** 2), _bilinear(LAM, U, U) - 1],
+                                s, *U, *LAM, domain=sp.QQ)
+        power = reduce(mul, [_compose(c, s, U)] * m)
+        for got, want in zip(power, (1, 0, 0, 0)):
+            assert relations.reduce(sp.expand(got - want))[1] == 0, m

@@ -18,8 +18,10 @@ the pairs after it.  Each side gives, per line of the chunk:
 - ``main``: ``cli.main(["batch", FILE])`` on the chunk's file: the three layers and the read.
 
 The bytes ``cli.main`` printed are compared in every pair.  The report gives each side's
-median and quartiles in microseconds per line, the pairs the change won and the median
-change/parent ratio, per layer and workload; its last line is the same as one JSON object.
+median and quartiles in microseconds per line, the pairs the change won and the quartiles
+of the per-pair change/parent ratios, per layer and workload; its last line is the same as
+one JSON object.  Both sides of a pair share the host's drift during the run, which widens
+each side's own quartiles; the ratios' quartiles leave it out.
 """
 
 from __future__ import annotations
@@ -122,22 +124,26 @@ def compare(parent_src: Path, pairs: int = 10, seed: int = 1, lines: int | None 
             per_layer[layer] = {
                 "parent_us": _quartiles(old), "change_us": _quartiles(new),
                 "change_wins": sum(b < a for a, b in zip(old, new)),
-                "median_ratio": statistics.median(b / a for a, b in zip(old, new)),
+                "ratio": _quartiles([b / a for a, b in zip(old, new)]),
             }
     return summary
+
+
+def _spread(quartiles: dict, digits: int) -> str:
+    return " / ".join(f"{quartiles[q]:.{digits}f}" for q in ("q1", "median", "q3"))
 
 
 def _report(summary: dict) -> str:
     rows = [f"seed {summary['seed']}, {summary['pairs']} pairs; identical bytes: "
             f"{summary['identical_bytes']}",
             f"{'workload':<14}{'layer':<9}{'parent us/line q1/med/q3':>28}"
-            f"{'change us/line q1/med/q3':>28}{'wins':>7}{'ratio':>8}"]
+            f"{'change us/line q1/med/q3':>28}{'wins':>7}{'ratio q1/med/q3':>22}"]
     for name, per_layer in summary["workloads"].items():
         for layer, row in per_layer.items():
-            old, new = (" / ".join(f"{row[side][q]:.2f}" for q in ("q1", "median", "q3"))
-                        for side in ("parent_us", "change_us"))
+            old, new = _spread(row["parent_us"], 2), _spread(row["change_us"], 2)
             wins = f"{row['change_wins']:>4}/{summary['pairs']:<2}"
-            rows.append(f"{name:<14}{layer:<9}{old:>28}{new:>28}{wins}{row['median_ratio']:>8.3f}")
+            rows.append(f"{name:<14}{layer:<9}{old:>28}{new:>28}{wins}"
+                        f"{_spread(row['ratio'], 3):>22}")
     return "\n".join(rows)
 
 
