@@ -91,17 +91,12 @@ def _parse_params(value: object) -> ParamTriple:
             raise RequestError(f"bad params {value!r}: {exc}") from None
     if isinstance(value, str):
         text = value.strip()
-        if ":" in text:
-            name, _, rest = text.partition(":")
-            values = _parse_numbers(rest, 2, "2param parameters")
-            try:
-                return family(name, *values)
-            except ValueError as exc:
-                raise RequestError(str(exc)) from None
-        if any(ch.isdigit() for ch in text) and "," in text:
+        name, colon, rest = text.partition(":")
+        if not colon and any(ch.isdigit() for ch in text) and "," in text:
             return ParamTriple(*_parse_numbers(text, 3, "params"))
+        values = _parse_numbers(rest, 2, "2param parameters") if colon else ()
         try:
-            return family(text)
+            return family(name, *values)
         except ValueError as exc:
             raise RequestError(str(exc)) from None
     raise RequestError(f"cannot interpret params {value!r}")

@@ -142,8 +142,12 @@ def _dot(lam, a, b):
 
 
 def _bilinear(lam, u, v):
-    l1, l2, l3 = lam
-    return l1 * l2 * u[0] * v[0] + l1 * l3 * u[1] * v[1] + l2 * l3 * u[2] * v[2]
+    # -0.0 * 0.0 is -0.0, the identity of +: the sum is the three terms', bit for bit.
+    return _dot(lam, (-0.0, *u), (0.0, *v))
+
+
+def _conj(a):
+    return (a[0], -a[1], -a[2], -a[3])
 
 
 class ParamTriple(_Record):
@@ -282,7 +286,7 @@ class GQuat(_Componentwise):
         self.__post_init__(a0, a1, a2, a3)
 
     def __post_init__(self, a0, a1, a2, a3):
-        _check_finite(("a0", "a1", "a2", "a3"), (a0, a1, a2, a3), "component ")
+        _check_finite(GQuat._FIELDS, (a0, a1, a2, a3), "component ")
         d = self.__dict__
         d["a0"], d["a1"], d["a2"], d["a3"] = float(a0), float(a1), float(a2), float(a3)
 
@@ -290,7 +294,7 @@ class GQuat(_Componentwise):
     def _of(comps, params: ParamTriple) -> "GQuat":
         a0, a1, a2, a3 = comps
         if not math.isfinite(a0 + a1 + a2 + a3):
-            _check_finite(("a0", "a1", "a2", "a3"), (a0, a1, a2, a3), "component ")
+            _check_finite(GQuat._FIELDS, (a0, a1, a2, a3), "component ")
         q = object.__new__(GQuat)
         d = q.__dict__
         d["params"], d["a0"], d["a1"], d["a2"], d["a3"] = params, a0, a1, a2, a3
@@ -313,19 +317,16 @@ class GQuat(_Componentwise):
         return self.a0 == 0.0
 
     def __mul__(self, other):
-        if isinstance(other, GQuat):
-            _require_same_params(self.params, other.params)
-            lam = self.params._lam
-            return GQuat._of(_product(lam, self.components, other.components), self.params)
-        if isinstance(other, (int, float)):
-            return self.scale(other)
-        return NotImplemented
+        if not isinstance(other, GQuat):
+            return _Componentwise.__mul__(self, other)
+        _require_same_params(self.params, other.params)
+        return GQuat._of(_product(self.params._lam, self.components, other.components), self.params)
 
     # --- involutions and metric --------------------------------------------
 
     def conj(self) -> "GQuat":
         """Conjugate: keep the scalar part, negate the vector part."""
-        return GQuat._of((self.a0, -self.a1, -self.a2, -self.a3), self.params)
+        return GQuat._of(_conj(self.components), self.params)
 
     def norm(self) -> float:
         """The (possibly negative) norm a0^2 + l12*a1^2 + l13*a2^2 + l23*a3^2.
@@ -351,7 +352,7 @@ class GQuat(_Componentwise):
     def inverse(self) -> "GQuat":
         """Multiplicative inverse conj(p)/norm(p); raises ZeroNorm on null input."""
         r = 1.0 / self._nonnull_norm()
-        return GQuat._of((r * self.a0, r * -self.a1, r * -self.a2, r * -self.a3), self.params)
+        return GQuat._of([r * c for c in _conj(self.components)], self.params)
 
     def dot(self, other: "GQuat") -> float:
         """Scalar product a0*b0 + l12*a1*b1 + l13*a2*b2 + l23*a3*b3.
@@ -375,7 +376,7 @@ class GVec3(_Componentwise):
         self.__post_init__(a1, a2, a3)
 
     def __post_init__(self, a1, a2, a3):
-        _check_finite(("a1", "a2", "a3"), (a1, a2, a3), "component ")
+        _check_finite(GVec3._FIELDS, (a1, a2, a3), "component ")
         d = self.__dict__
         d["a1"], d["a2"], d["a3"] = float(a1), float(a2), float(a3)
 
@@ -383,7 +384,7 @@ class GVec3(_Componentwise):
     def _of(comps, params: ParamTriple) -> "GVec3":
         a1, a2, a3 = comps
         if not math.isfinite(a1 + a2 + a3):
-            _check_finite(("a1", "a2", "a3"), (a1, a2, a3), "component ")
+            _check_finite(GVec3._FIELDS, (a1, a2, a3), "component ")
         v = object.__new__(GVec3)
         d = v.__dict__
         d["params"], d["a1"], d["a2"], d["a3"] = params, a1, a2, a3

@@ -27,7 +27,7 @@ from pathlib import Path
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 432
+COUNT = 434
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -114,6 +114,11 @@ FIXED += [
      "options": {"n": 2.0}},  # non_unit: n = 2.0 is taken as 2
     {"params": "hamilton", "op": "roots", "operands": [[-0.5, 0.5, 0.5, 0.5]],
      "options": {"n": 0.0}},
+]
+# A sum of -0.0 terms is -0.0, which JSON prints differently from 0.0.
+FIXED += [
+    {"params": "hamilton", "op": "bilinear", "operands": [[0, 0, 0], [-1, -1, -1]]},
+    {"params": "hamilton", "op": "dot", "operands": [[0, 0, 0, 0], [-1, -1, -1, -1]]},
 ]
 
 

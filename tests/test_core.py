@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import itertools
+import math
 import re
 
 import pytest
@@ -26,7 +28,8 @@ from gq3 import (
     wedge_triple_right,
 )
 from gq3.cli import OPS, OpSpec, execute_request
-from helpers import FAMILIES, quat_close, random_quat, random_vec, rel_close, vec_close
+from helpers import (EDGE_VECS, FAMILIES, quat_close, random_quat, random_vec, rel_close,
+                     vec_close)
 
 from _hamilton import HQuat
 
@@ -416,6 +419,17 @@ def test_norm_is_the_weighted_sum_of_squares_bit_for_bit(rng, params):
         a0, a1, a2, a3 = p.components
         expected = a0 * a0 + l1 * l2 * a1 * a1 + l1 * l3 * a2 * a2 + l2 * l3 * a3 * a3
         assert p.norm().hex() == p.dot(p).hex() == expected.hex()
+    # The bilinear form keeps the sign of a zero sum: the eight vectors of +-0.0 pin it.
+    vecs = [random_vec(rng, params, 10.0) for _ in range(20)]
+    vecs += [GVec3(*c, params) for c in [*itertools.product((0.0, -0.0), repeat=3), *EDGE_VECS]]
+    for u, v in itertools.product(vecs, repeat=2):
+        (u1, u2, u3), (v1, v2, v3) = u.components, v.components
+        expected = l1 * l2 * u1 * v1 + l1 * l3 * u2 * v2 + l2 * l3 * u3 * v3
+        if math.isfinite(expected):
+            assert bilinear_f(u, v).hex() == expected.hex()
+        else:
+            with pytest.raises(NonFinite):
+                bilinear_f(u, v)
 
 
 def test_dot_refuses_a_vector():

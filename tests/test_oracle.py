@@ -98,7 +98,7 @@ def test_conjugation_rejects_null():
 
 # The kernels and methods the oracle routes are compared against.
 CHECKED = [(core, "_product"), (core, "_wedge"), (core, "_dot"), (core, "_bilinear"),
-           (matrices, "_mult_rows"), (matrices, "_skew_rows"),
+           (core, "_conj"), (matrices, "_mult_rows"), (matrices, "_skew_rows"),
            (lie, "_adjoint_polynomials"), (lie, "ad_matrix"),
            (GQuat, "__mul__"), (GQuat, "inverse"), (GQuat, "norm"), (GQuat, "dot"),
            (GQuat, "conj")]
@@ -112,8 +112,11 @@ def test_routes_use_none_of_the_code_they_check(monkeypatch):
     params = ParamTriple(1.0, 0.7, -1.3)
     p, null = GQuat(0.5, -1.5, 2.5, -3.5, params), GQuat(1.0, 0.0, 1.0, 0.0, family("split"))
     x, y = GVec3(1.0, -2.0, 0.5, params), GVec3(-0.25, 3.0, 1.5, params)
+    # The oracle binds none of the checked objects, under any name: a binding would escape
+    # the patches below.  Its own _conj is a second, independent copy.
+    checked = [getattr(owner, name) for owner, name in CHECKED]
+    assert not [v for v in vars(gq3.oracle).values() if any(v is c for c in checked)]
     for owner, name in CHECKED:
-        assert name not in vars(gq3.oracle)
         monkeypatch.setattr(owner, name, _checked_code_called)
     with pytest.raises(AssertionError):
         p * p  # the patches are live

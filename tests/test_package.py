@@ -117,6 +117,18 @@ def test_readme_family_table_is_the_code():
         assert core._FAMILIES[name] == lam and family(name) == ParamTriple(*lam), name
 
 
+def test_readme_kernel_list_is_what_the_proofs_import():
+    # README lists each kernel the proofs import, and no other.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"^### How the formulas are checked\n(.*?)Three kinds of check",
+                       text, re.M | re.S).group(1)
+    proofs = ast.parse((ROOT / "tests" / "test_proofs.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(proofs) if isinstance(node, ast.ImportFrom)
+                and node.module in ("gq3.core", "gq3.matrices", "gq3.lie", "gq3.polar")
+                for alias in node.names if alias.name.startswith("_")}
+    assert set(re.findall(r"`(_\w+)`", listed)) == imported
+
+
 # Special methods of the record machinery, which every record shares: no ledger row.
 _RECORD_METHODS = {"__init__", "__init_subclass__", "__eq__", "__hash__", "__repr__",
                    "__setattr__", "__delattr__"}

@@ -15,7 +15,7 @@ from functools import reduce
 
 import sympy as sp
 
-from gq3.core import _bilinear, _dot, _product, _wedge
+from gq3.core import _bilinear, _conj, _dot, _product, _wedge
 from gq3.lie import _adjoint_polynomials, _killing_of_form, _rodrigues_rows
 from gq3.matrices import _char_coefficients, _eigen, _mult_rows, _skew_rows
 from gq3.oracle import _table_product
@@ -35,10 +35,6 @@ def vanishes(*exprs) -> bool:
 
 def mul(a, b):
     return _product(LAM, a, b)
-
-
-def conj(a):
-    return (a[0], *(-c for c in a[1:]))
 
 
 def norm(a):
@@ -71,9 +67,19 @@ def test_product_is_associative():
 
 def test_norm_is_multiplicative_and_dot_is_scalar_part():
     assert vanishes(norm(mul(P, Q)) - norm(P) * norm(Q))
-    assert vanishes(_dot(LAM, P, Q) - mul(P, conj(Q))[0])
+    assert vanishes(_dot(LAM, P, Q) - mul(P, _conj(Q))[0])
     # On pure quaternions the bilinear form is the dot product.
     assert vanishes(_bilinear(LAM, U, V) - _dot(LAM, pure(U), pure(V)))
+
+
+def test_conjugate_gives_the_norm_on_both_sides():
+    # Hence p * inverse(p) = inverse(p) * p = 1 wherever N(p) != 0.
+    n = sp.Matrix((norm(P), 0, 0, 0))
+    assert vanishes(sp.Matrix(mul(P, _conj(P))) - n, sp.Matrix(mul(_conj(P), P)) - n)
+
+
+def test_conjugate_reverses_the_product():
+    assert vanishes(sp.Matrix(_conj(mul(P, Q))) - sp.Matrix(mul(_conj(Q), _conj(P))))
 
 
 def test_wedge_is_half_the_commutator():
@@ -121,7 +127,7 @@ def test_skew_is_wedge_and_antisymmetric_under_the_metric():
 def test_adjoint_polynomials_are_conjugation_by_the_product():
     adj = sp.Matrix(_adjoint_polynomials(LAM, P))
     for j in (1, 2, 3):
-        image = mul(mul(P, BASIS[j]), conj(P))
+        image = mul(mul(P, BASIS[j]), _conj(P))
         assert vanishes(image[0], sp.Matrix(image[1:]) - adj[:, j - 1])
 
 
