@@ -187,8 +187,8 @@ def family(name: str, *args: float) -> ParamTriple:
     Accepts ``hamilton``, ``split``, ``semi``, ``split-semi``, ``quarter``
     and ``2param``, whose two extra parameters lam, mu give (1, lam, mu).
     """
-    key = name.strip().lower().replace("_", "-")
-    if key in ("2param", "two-param"):
+    key = name.strip()
+    if key == "2param":
         if len(args) != 2:
             raise ValueError("2param family needs exactly two parameters")
         return ParamTriple(1.0, *args)
@@ -352,7 +352,8 @@ class GQuat(_Componentwise):
     def inverse(self) -> "GQuat":
         """Multiplicative inverse conj(p)/norm(p); raises ZeroNorm on null input."""
         r = 1.0 / self._nonnull_norm()
-        return GQuat._of([r * c for c in _conj(self.components)], self.params)
+        a0, a1, a2, a3 = _conj(self.components)
+        return GQuat._of((r * a0, r * a1, r * a2, r * a3), self.params)
 
     def dot(self, other: "GQuat") -> float:
         """Scalar product a0*b0 + l12*a1*b1 + l13*a2*b2 + l23*a3*b3.

@@ -41,13 +41,13 @@ def metric_eps(params: ParamTriple) -> Mat3:
     Entries are plain products of the parameters, so the matrix is exact;
     off-diagonal entries are exactly zero.
     """
-    return _diagonal(params, params.l12, params.l13, params.l23)
+    return _diagonal(params.l12, params.l13, params.l23)
 
 
-def _diagonal(params: ParamTriple, d1: float, d2: float, d3: float) -> Mat3:
+def _diagonal(d1: float, d2: float, d3: float) -> Mat3:
     # The diagonal Mat3 of metric_eps and killing_matrix; off-diagonal +0.0.
     # Public Mat3(...), not _of_rows: bench/test_bench.py counts matrices.mat_new from it.
-    return Mat3([[d1, 0.0, 0.0], [0.0, d2, 0.0], [0.0, 0.0, d3]], params)
+    return Mat3([[d1, 0.0, 0.0], [0.0, d2, 0.0], [0.0, 0.0, d3]])
 
 
 def bracket(x: GVec3, y: GVec3) -> GVec3:
@@ -73,7 +73,7 @@ def adjoint_group(p: GQuat) -> Mat3:
     """
     n = p._nonnull_norm()
     rows = _adjoint_polynomials(p.params._lam, p.components)
-    return Mat3._of_rows(tuple([(a / n, b / n, c / n) for a, b, c in rows]), p.params)
+    return Mat3._of_rows(tuple([(a / n, b / n, c / n) for a, b, c in rows]))
 
 
 def adjoint_closed_form(p: GQuat) -> Mat3:
@@ -85,7 +85,7 @@ def adjoint_closed_form(p: GQuat) -> Mat3:
     metric by norm(p)^2 and has determinant norm(p)^3 for every p, unit or
     not.
     """
-    return Mat3._of_rows(_adjoint_polynomials(p.params._lam, p.components), p.params)
+    return Mat3._of_rows(_adjoint_polynomials(p.params._lam, p.components))
 
 
 def _adjoint_polynomials(lam, a):
@@ -114,7 +114,7 @@ def skew_of_axis(s: GVec3) -> Mat3:
     the generator appearing in the rotation-style decomposition of the
     adjoint action.
     """
-    return Mat3._of_rows(_skew_rows(s.params._lam, s.components), s.params)
+    return Mat3._of_rows(_skew_rows(s.params._lam, s.components))
 
 
 def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat3:
@@ -129,8 +129,7 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
             f"rotation decomposition needs all lambdas > 0, got {axis.params._lam}")
     _require_unit_axis(axis, axis_tol, "axis")
     c, st = _cos_sin(theta)
-    return Mat3._of_rows(_rodrigues_rows(axis.params._lam, axis.components, st, 1.0 - c),
-                         axis.params)
+    return Mat3._of_rows(_rodrigues_rows(axis.params._lam, axis.components, st, 1.0 - c))
 
 
 def _rodrigues_rows(lam, u, st, ct):
@@ -148,12 +147,11 @@ def ad_matrix(x: GVec3) -> Mat3:
     Built as the skew of the doubled vector: doubling is exact, so the
     entries equal 2 * skew_of_axis(x) bit for bit.
     """
-    return Mat3._of_rows(_skew_rows(x.params._lam, (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)),
-                         x.params)
+    return Mat3._of_rows(_skew_rows(x.params._lam, (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)))
 
 
 def _killing_of_form(f: float) -> float:
-    # -8*f, with zero as +0.0 (the value the trace gives): -8.0 * 0.0 is -0.0,
+    # Kernel (see core): -8*f, with zero as +0.0 (the value the trace gives): -8.0 * 0.0 is -0.0,
     # which JSON prints differently.
     return -8.0 * f + 0.0
 
@@ -173,7 +171,7 @@ def killing_matrix(params: ParamTriple) -> Mat3:
     The basis is orthogonal under the bilinear form, so the matrix is the
     diagonal -8 * (l12, l13, l23); off-diagonal entries are exactly +0.0.
     """
-    return _diagonal(params, *map(_killing_of_form, (params.l12, params.l13, params.l23)))
+    return _diagonal(*map(_killing_of_form, (params.l12, params.l13, params.l23)))
 
 
 def is_compact(params: ParamTriple) -> bool:

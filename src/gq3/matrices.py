@@ -35,41 +35,31 @@ __all__ = [
     "eigenvectors",
 ]
 
+# The name is the one bench/spans.py counts matrices.mat_new under.
 class _TaggedMatrix(tuple):
-    """Read-only real square matrix that remembers the parameter triple it came from.
+    """Read-only real square matrix: a tuple of row tuples of floats.
 
-    A tuple of row tuples of floats: rows index and iterate as usual,
-    ``m[i, j]`` reads one entry, and ``json`` writes the matrix as nested
-    arrays.  ``@`` between two matrices of the same shape is computed here,
-    each entry summed left to right from 0.0, and keeps the tag of the left
-    operand.  numpy reads the rows as a sequence: ``np.asarray(m)`` gives a
-    float64 array.  The tag is provenance only; it and every other attribute
-    are read-only.
+    Rows index and iterate as usual, ``m[i][j]`` reads one entry, and ``json``
+    writes nested arrays.  ``@`` between two matrices of the same shape sums
+    each entry left to right from 0.0.  ``np.asarray(m)`` reads the rows as a
+    sequence and gives a float64 array.  Attributes are read-only.
     """
 
     shape: tuple[int, int] = ()
 
-    def __new__(cls, data, params: ParamTriple | None = None):
-        return cls._of_rows(_float_rows(data, cls.shape[0], cls.__name__), params)
+    def __new__(cls, data):
+        return cls._of_rows(_float_rows(data, cls.shape[0], cls.__name__))
 
     @classmethod
-    def _of_rows(cls, rows, params):
+    def _of_rows(cls, rows):
         # The matrix of row tuples of floats that a kernel just built, or that __new__
         # copied: the one finiteness pass, no float() copy, no shape check.
         if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise NonFinite(f"{cls.__name__} entries must be finite")
-        obj = tuple.__new__(cls, rows)
-        obj.__dict__["params"] = params
-        return obj
+        return tuple.__new__(cls, rows)
 
     # A tuple subclass cannot have non-empty __slots__: frozen as the records are.
     __setattr__, __delattr__ = _Record.__setattr__, _Record.__delattr__
-
-    def __getitem__(self, key):
-        if type(key) is tuple:
-            i, j = key
-            return tuple.__getitem__(self, i)[j]
-        return tuple.__getitem__(self, key)
 
     def __add__(self, other):
         # Not tuple concatenation (nor, below, repetition): elementwise
@@ -83,8 +73,7 @@ class _TaggedMatrix(tuple):
             return NotImplemented
         cols = tuple(zip(*other))
         return self._of_rows(
-            tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in cols]) for row in self]),
-            self.params)
+            tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in cols]) for row in self]))
 
 
 def _float_rows(data, n: int, what: str) -> tuple[tuple[float, ...], ...]:
@@ -113,7 +102,7 @@ def left_matrix(p: GQuat) -> Mat4:
     Additive and multiplicative in p: the map p -> left_matrix(p) is an
     injective ring homomorphism into the 4x4 real matrices.
     """
-    return Mat4._of_rows(_mult_rows(p.params._lam, p.components, 1), p.params)
+    return Mat4._of_rows(_mult_rows(p.params._lam, p.components, 1))
 
 
 def right_matrix(p: GQuat) -> Mat4:
@@ -122,7 +111,7 @@ def right_matrix(p: GQuat) -> Mat4:
     Anti-multiplicative in p, and commutes with every left-multiplication
     matrix (left and right multiplications always commute).
     """
-    return Mat4._of_rows(_mult_rows(p.params._lam, p.components, -1), p.params)
+    return Mat4._of_rows(_mult_rows(p.params._lam, p.components, -1))
 
 
 def _skew_rows(lam, s):
@@ -170,8 +159,7 @@ def det4(m) -> float:
     the value is easy to audit; for a left-multiplication matrix it equals
     the squared quaternion norm.
     """
-    # A Mat4 already holds four rows of four floats; tuple() drops its indexing.
-    rows = tuple(m) if isinstance(m, Mat4) else _float_rows(m, 4, "det4")
+    rows = m if isinstance(m, Mat4) else _float_rows(m, 4, "det4")
     sign = 1.0
     total = 0.0
     cols = (0, 1, 2, 3)

@@ -102,7 +102,7 @@ def conjugation_columns(p: GQuat) -> Mat3:
             raise ArithmeticError(f"conjugated basis vector has scalar residue {r0}; "
                                   "conjugation should preserve the pure part")
         cols.append(r)
-    return Mat3(list(zip(*cols)), p.params)
+    return Mat3(list(zip(*cols)))
 
 
 def killing_by_trace(x: GVec3, y: GVec3) -> float:

@@ -66,10 +66,10 @@ class PolarForm(_Record):
     def compose(self) -> GQuat:
         """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis; NonFinite on overflow."""
         c, s = _cos_sin(self.theta)
-        c = self.modulus * c
+        m = float(self.modulus)  # a modulus of any real type; _of stores floats as given
         if self.axis is None:
-            return GQuat.scalar(c, self.params)
-        return GQuat(*_compose(c, self.modulus * s, self.axis.components), self.params)
+            return GQuat.scalar(m * c, self.params)
+        return GQuat._of(_compose(m * c, m * s, self.axis.components), self.params)
 
 
 def to_polar(p: GQuat) -> PolarForm:
@@ -96,6 +96,7 @@ def to_polar(p: GQuat) -> PolarForm:
 
     sd = math.sqrt(d)
     theta = math.atan2(sd, p.a0)
+    # Public GVec3(...), not _of: bench/test_bench.py counts core.gquat_new from it.
     axis = GVec3(p.a1 / sd, p.a2 / sd, p.a3 / sd, p.params)
     return PolarForm(math.sqrt(n), theta, axis, p.params)
 
@@ -124,8 +125,7 @@ def polar_matrix(axis: GVec3, theta: float) -> Mat4:
     the nth power and (theta + 2*pi*k)/n gives the nth roots.
     """
     c, s = _cos_sin(theta)
-    return Mat4._of_rows(_mult_rows(axis.params._lam, _compose(c, s, axis.components), 1),
-                         axis.params)
+    return Mat4._of_rows(_mult_rows(axis.params._lam, _compose(c, s, axis.components), 1))
 
 
 def _compose(c, s, u):

@@ -27,7 +27,7 @@ from pathlib import Path
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 434
+COUNT = 436
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -119,6 +119,11 @@ FIXED += [
 FIXED += [
     {"params": "hamilton", "op": "bilinear", "operands": [[0, 0, 0], [-1, -1, -1]]},
     {"params": "hamilton", "op": "dot", "operands": [[0, 0, 0, 0], [-1, -1, -1, -1]]},
+]
+# Family names are taken only as documented: no other case, no "two-param".
+FIXED += [
+    {"params": "Hamilton", "op": "norm", "operands": [[1, 0, 0, 0]]},
+    {"params": "two-param:1,2", "op": "norm", "operands": [[1, 0, 0, 0]]},
 ]
 
 

@@ -22,14 +22,16 @@ from gq3 import (
     ZeroNorm,
     bilinear_f,
     bracket,
+    demoivre_pow,
+    euler_exp,
     family,
     wedge,
     wedge_triple_left,
     wedge_triple_right,
 )
 from gq3.cli import OPS, OpSpec, execute_request
-from helpers import (EDGE_VECS, FAMILIES, quat_close, random_quat, random_vec, rel_close,
-                     vec_close)
+from helpers import (EDGE_VECS, FAMILIES, POSITIVE_FAMILIES, quat_close, random_quat,
+                     random_unit_vector, random_vec, rel_close, vec_close)
 
 from _hamilton import HQuat
 
@@ -54,6 +56,10 @@ def test_family_rejects_unknown_names():
         family("hamilton", 1.0)
     with pytest.raises(ValueError, match="^2param family needs exactly two parameters$"):
         family("2param", 1.0)
+    # Only the documented names: no other case, no _ for -, no "two-param".
+    for name, args in (("Hamilton", ()), ("split_semi", ()), ("two-param", (1, 2))):
+        with pytest.raises(ValueError, match=f"^unknown family {name!r}$"):
+            family(name, *args)
 
 
 def test_param_triple_rejects_non_finite():
@@ -617,12 +623,7 @@ _KERNEL_BUILT = {
 }
 
 
-@pytest.mark.parametrize("build", sorted(_KERNEL_BUILT))
-@pytest.mark.parametrize("params", FAMILIES)
-def test_kernel_built_values_keep_the_public_contract(rng, params, build):
-    p, q = random_quat(rng, params), random_quat(rng, params)
-    u, v = random_vec(rng, params), random_vec(rng, params)
-    value = _KERNEL_BUILT[build](p, q, u, v)
+def _assert_public_contract(value, params):
     public = type(value)(*value.components, params)
     assert [x.hex() for x in value.components] == [x.hex() for x in public.components]
     assert all(type(x) is float for x in value.components)
@@ -632,6 +633,26 @@ def test_kernel_built_values_keep_the_public_contract(rng, params, build):
                   lambda: setattr(value, "foo", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             write()
+
+
+@pytest.mark.parametrize("build", sorted(_KERNEL_BUILT))
+@pytest.mark.parametrize("params", FAMILIES)
+def test_kernel_built_values_keep_the_public_contract(rng, params, build):
+    p, q = random_quat(rng, params), random_quat(rng, params)
+    u, v = random_vec(rng, params), random_vec(rng, params)
+    _assert_public_contract(_KERNEL_BUILT[build](p, q, u, v), params)
+
+
+@pytest.mark.parametrize("params", POSITIVE_FAMILIES)
+def test_powers_and_exponentials_keep_the_public_contract(rng, params):
+    # PolarForm.compose builds both from the floats of the _compose kernel, also when a
+    # caller's form holds a modulus of another real type.
+    import numpy as np
+
+    p, v = random_quat(rng, params), random_unit_vector(rng, params)
+    for value in (demoivre_pow(p, 5), demoivre_pow(p, -3), euler_exp(v, 0.7),
+                  PolarForm(np.float32(2.0), 0.7, v, params).compose()):
+        _assert_public_contract(value, params)
 
 
 @pytest.mark.parametrize("params", FAMILIES)

@@ -117,8 +117,19 @@ def test_readme_family_table_is_the_code():
         assert core._FAMILIES[name] == lam and family(name) == ParamTriple(*lam), name
 
 
+def _src_kernels() -> set[str]:
+    """The kernels in src: core's kernel section, up to its first class, and every marked one."""
+    core_text = (SRC / "gq3" / "core.py").read_text(encoding="utf-8")
+    section = core_text.partition("\n# --- kernels:")[2].partition("\nclass ")[0]
+    kernels = set(re.findall(r"^def (_\w+)\(", section, re.M))
+    for path in (SRC / "gq3").glob("*.py"):
+        kernels |= set(re.findall(r"^def (_\w+)\(.*\n    # Kernel \(see core\)",
+                                  path.read_text(encoding="utf-8"), re.M))
+    return kernels
+
+
 def test_readme_kernel_list_is_what_the_proofs_import():
-    # README lists each kernel the proofs import, and no other.
+    # README lists each kernel the proofs import, and no other; both are the kernels in src.
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     listed = re.search(r"^### How the formulas are checked\n(.*?)Three kinds of check",
                        text, re.M | re.S).group(1)
@@ -126,7 +137,7 @@ def test_readme_kernel_list_is_what_the_proofs_import():
     imported = {alias.name for node in ast.walk(proofs) if isinstance(node, ast.ImportFrom)
                 and node.module in ("gq3.core", "gq3.matrices", "gq3.lie", "gq3.polar")
                 for alias in node.names if alias.name.startswith("_")}
-    assert set(re.findall(r"`(_\w+)`", listed)) == imported
+    assert set(re.findall(r"`(_\w+)`", listed)) == imported == _src_kernels()
 
 
 # Special methods of the record machinery, which every record shares: no ledger row.

@@ -17,7 +17,7 @@ import sympy as sp
 
 from gq3.core import _bilinear, _conj, _dot, _product, _wedge
 from gq3.lie import _adjoint_polynomials, _killing_of_form, _rodrigues_rows
-from gq3.matrices import _char_coefficients, _eigen, _mult_rows, _skew_rows
+from gq3.matrices import _char_coefficients, _eigen, _eigen_denominator, _mult_rows, _skew_rows
 from gq3.oracle import _table_product
 from gq3.polar import _compose
 
@@ -156,6 +156,8 @@ def test_eigenvectors_of_the_left_matrix():
     w = sp.Symbol("w")
     d = _bilinear(LAM, P[1:], P[1:])
     t_plus, t_minus, den, heads = _eigen(LAM, P, w)
+    # _eigen's denominator is the kernel eigenvectors() also calls for its null test.
+    assert den == _eigen_denominator(LAM, P)
 
     def on_root(expr):
         # Products carry w at most squared; w is a root of w^2 = -D.
