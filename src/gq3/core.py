@@ -211,16 +211,36 @@ def _require_same_params(a: ParamTriple, b: ParamTriple) -> None:
 class _Componentwise(_Record):
     """The vector-space structure GQuat and GVec3 share over one triple.
 
-    A subclass names its coordinate fields in ``_FIELDS`` (a GVec3 is a GQuat with
-    a0 = 0: the last three of a0..a3); ``components`` reads them in one C call, and
-    the record fields are these and ``params``.  Sums, differences, negation and
-    scalar multiples act component by component.
+    A value stores ``params`` and ``components``, the float tuple the kernels read; a subclass
+    names its coordinates, read-only views of its entries, in ``_FIELDS`` (a GVec3 is a GQuat
+    with a0 = 0: the last three of a0..a3).  Sums, differences, negation and scalar multiples
+    act component by component.
     """
 
     def __init_subclass__(cls, **kwargs):
         cls.__match_args__ = (*cls._FIELDS, "params")
         super().__init_subclass__(**kwargs)
-        cls.components = property(operator.attrgetter(*cls._FIELDS))
+        cls._fields = property(lambda self: (*self.components, self.params))
+        for i, name in enumerate(cls._FIELDS):
+            setattr(cls, name, property(lambda self, i=i: self.components[i]))
+
+    def _store(self, *comps) -> None:
+        # The public constructors' check and copy; each subclass binds it as __post_init__ in
+        # its own namespace, where bench/spans.py counts core.gquat_new by class.
+        _check_finite(self._FIELDS, comps, "component ")
+        self.__dict__["components"] = tuple(map(float, comps))
+
+    @classmethod
+    def _of(cls, comps, params: ParamTriple):
+        # Every operation's builder, from floats a kernel or the CLI made: no conversion, no copy
+        # of a tuple, one isfinite of their sum, and _check_finite only to name the field.
+        comps = tuple(comps)
+        if not math.isfinite(sum(comps)):
+            _check_finite(cls._FIELDS, comps, "component ")
+        v = object.__new__(cls)
+        d = v.__dict__
+        d["params"], d["components"] = params, comps
+        return v
 
     @classmethod
     def from_components(cls, comps: Sequence[float], params: ParamTriple):
@@ -269,9 +289,6 @@ class _Componentwise(_Record):
         return f"{type(self).__name__}({values}; params={self.params._lam})"
 
 
-# GQuat and GVec3, built on every operation, write __dict__ in their own __init__, and
-# __post_init__ runs once: checks, stores floats.  _of takes the components a kernel or the CLI
-# made as floats: no copy, one isfinite of their sum, _check_finite only to name the field.
 class GQuat(_Componentwise):
     """A generalized quaternion a0 + a1*e1 + a2*e2 + a3*e3 over a fixed triple.
 
@@ -285,20 +302,7 @@ class GQuat(_Componentwise):
         self.__dict__["params"] = params
         self.__post_init__(a0, a1, a2, a3)
 
-    def __post_init__(self, a0, a1, a2, a3):
-        _check_finite(GQuat._FIELDS, (a0, a1, a2, a3), "component ")
-        d = self.__dict__
-        d["a0"], d["a1"], d["a2"], d["a3"] = float(a0), float(a1), float(a2), float(a3)
-
-    @staticmethod
-    def _of(comps, params: ParamTriple) -> "GQuat":
-        a0, a1, a2, a3 = comps
-        if not math.isfinite(a0 + a1 + a2 + a3):
-            _check_finite(GQuat._FIELDS, (a0, a1, a2, a3), "component ")
-        q = object.__new__(GQuat)
-        d = q.__dict__
-        d["params"], d["a0"], d["a1"], d["a2"], d["a3"] = params, a0, a1, a2, a3
-        return q
+    __post_init__ = _Componentwise._store
 
     # _Componentwise's classmethod, bound in GQuat's own namespace too: the tracing
     # check of bench/test_bench.py patches and restores it there.
@@ -310,7 +314,7 @@ class GQuat(_Componentwise):
 
     @property
     def vector_part(self) -> "GVec3":
-        return GVec3(self.a1, self.a2, self.a3, self.params)
+        return GVec3(*self.components[1:], self.params)
 
     @property
     def is_pure(self) -> bool:
@@ -376,24 +380,11 @@ class GVec3(_Componentwise):
         self.__dict__["params"] = params
         self.__post_init__(a1, a2, a3)
 
-    def __post_init__(self, a1, a2, a3):
-        _check_finite(GVec3._FIELDS, (a1, a2, a3), "component ")
-        d = self.__dict__
-        d["a1"], d["a2"], d["a3"] = float(a1), float(a2), float(a3)
-
-    @staticmethod
-    def _of(comps, params: ParamTriple) -> "GVec3":
-        a1, a2, a3 = comps
-        if not math.isfinite(a1 + a2 + a3):
-            _check_finite(GVec3._FIELDS, (a1, a2, a3), "component ")
-        v = object.__new__(GVec3)
-        d = v.__dict__
-        d["params"], d["a1"], d["a2"], d["a3"] = params, a1, a2, a3
-        return v
+    __post_init__ = _Componentwise._store
 
     def as_quat(self) -> GQuat:
         """Embed into the full algebra with zero scalar part (lossless)."""
-        return GQuat(0.0, self.a1, self.a2, self.a3, self.params)
+        return GQuat(0.0, *self.components, self.params)
 
 
 # --- bilinear machinery on pure quaternions --------------------------------
@@ -413,7 +404,7 @@ def bilinear_f(u: GVec3 | GQuat, v: GVec3 | GQuat) -> float:
 def _bilinear_of(u, v) -> float:
     # bilinear_f before its finiteness check, for the gates that report an overflow themselves.
     _require_same_params(u.params, v.params)
-    return _bilinear(u.params._lam, (u.a1, u.a2, u.a3), (v.a1, v.a2, v.a3))
+    return _bilinear(u.params._lam, u.components[-3:], v.components[-3:])
 
 
 def wedge(u: GVec3, v: GVec3) -> GVec3:

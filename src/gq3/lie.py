@@ -57,8 +57,8 @@ def bracket(x: GVec3, y: GVec3) -> GVec3:
     (whose scalar parts cancel by symmetry of the bilinear form), which is
     twice the weighted cross product.
     """
-    w = wedge(x, y)
-    return GVec3._of((2.0 * w.a1, 2.0 * w.a2, 2.0 * w.a3), w.params)
+    a1, a2, a3 = wedge(x, y).components
+    return GVec3._of((2.0 * a1, 2.0 * a2, 2.0 * a3), x.params)
 
 
 def adjoint_group(p: GQuat) -> Mat3:
@@ -147,7 +147,8 @@ def ad_matrix(x: GVec3) -> Mat3:
     Built as the skew of the doubled vector: doubling is exact, so the
     entries equal 2 * skew_of_axis(x) bit for bit.
     """
-    return Mat3._of_rows(_skew_rows(x.params._lam, (2.0 * x.a1, 2.0 * x.a2, 2.0 * x.a3)))
+    a1, a2, a3 = x.components
+    return Mat3._of_rows(_skew_rows(x.params._lam, (2.0 * a1, 2.0 * a2, 2.0 * a3)))
 
 
 def _killing_of_form(f: float) -> float:

@@ -81,11 +81,12 @@ def to_polar(p: GQuat) -> PolarForm:
     norm is not positive (or vanishes, as in ``GQuat.inverse``), NonFinite
     when its terms overflow and NonElliptic when D <= 0 for a non-scalar.
     """
-    if p.a1 == 0.0 and p.a2 == 0.0 and p.a3 == 0.0:
-        if p.a0 == 0.0:
+    a0, a1, a2, a3 = p.components
+    if a1 == 0.0 and a2 == 0.0 and a3 == 0.0:
+        if a0 == 0.0:
             raise ZeroNorm("zero quaternion has no polar form")
-        theta = 0.0 if p.a0 > 0 else math.pi
-        return PolarForm(abs(p.a0), theta, None, p.params)
+        theta = 0.0 if a0 > 0 else math.pi
+        return PolarForm(abs(a0), theta, None, p.params)
 
     n, null = p._null_norm()
     if null or n < 0.0:
@@ -95,9 +96,9 @@ def to_polar(p: GQuat) -> PolarForm:
         raise NonElliptic(f"axis discriminant {d} is not positive; element is not elliptic")
 
     sd = math.sqrt(d)
-    theta = math.atan2(sd, p.a0)
+    theta = math.atan2(sd, a0)
     # Public GVec3(...), not _of: bench/test_bench.py counts core.gquat_new from it.
-    axis = GVec3(p.a1 / sd, p.a2 / sd, p.a3 / sd, p.params)
+    axis = GVec3(a1 / sd, a2 / sd, a3 / sd, p.params)
     return PolarForm(math.sqrt(n), theta, axis, p.params)
 
 
@@ -167,10 +168,11 @@ def _angle(n: int, theta: float) -> float:
 
 def _check_root_degree(n: int) -> None:
     """Raise ValueError unless 1 <= n <= MAX_ROOT_DEGREE; shared with the CLI."""
-    if n < 1:
-        raise ValueError(f"root degree must be >= 1, got {n}")
-    if n > MAX_ROOT_DEGREE:
-        raise ValueError(f"root degree must be <= {MAX_ROOT_DEGREE}, got {n}")
+    if not 1 <= n <= MAX_ROOT_DEGREE:
+        bound = ">= 1" if n < 1 else f"<= {MAX_ROOT_DEGREE}"
+        # As in _power: str() of an int past 4,300 digits, more than JSON carries, raises.
+        got = n if abs(n) < 10 ** 4300 else "an integer of more than 4,300 digits"
+        raise ValueError(f"root degree must be {bound}, got {got}")
 
 
 def _check_tolerance(tol: float, name: str) -> None:

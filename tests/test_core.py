@@ -1,9 +1,11 @@
 """Pointwise algebra: product, conjugate, norm, inverse, bilinear machinery."""
 
+import copy
 import dataclasses
 import inspect
 import itertools
 import math
+import pickle
 import re
 
 import pytest
@@ -180,6 +182,16 @@ def test_fields_and_params_are_the_record_fields(cls):
     assert tuple(inspect.signature(cls).parameters) == names == cls.__match_args__
     x = cls.from_components(range(1, len(cls._FIELDS) + 1), H)
     assert hash(x) == hash(tuple(getattr(x, name) for name in names))
+    assert [getattr(x, name) for name in cls._FIELDS] == list(x.components)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert twin == x and vars(twin) == vars(x)
+    match x:
+        case GQuat(a0, a1, a2, a3, params):
+            assert (a0, a1, a2, a3, params) == (*x.components, H)
+        case GVec3(a1, a2, a3, params):
+            assert (a1, a2, a3, params) == (*x.components, H)
+        case _:
+            pytest.fail(f"no pattern matched {x!r}")
     for name in names:
         values = {n: getattr(x, n) for n in names}
         values[name] = family("split") if name == "params" else 0.5
@@ -629,6 +641,8 @@ def _assert_public_contract(value, params):
     assert all(type(x) is float for x in value.components)
     assert value == public and hash(value) == hash(public) and repr(value) == repr(public)
     assert vars(value) == vars(public) and value.params is params
+    assert vars(value) == {"params": params, "components": value.components}
+    assert type(value.components) is tuple and value.components is value.components
     for write in (lambda: setattr(value, "a1", 0.0), lambda: delattr(value, "a1"),
                   lambda: setattr(value, "foo", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):

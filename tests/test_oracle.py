@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gq3.oracle
-from gq3 import GQuat, GVec3, ParamTriple, ZeroNorm, adjoint_group, core, family, lie, matrices
+from gq3 import (GQuat, GVec3, NonFinite, ParamTriple, ZeroNorm, adjoint_group, core, family, lie,
+                 matrices)
 from gq3.oracle import (
     conjugation_columns,
     killing_by_trace,
@@ -67,6 +68,8 @@ def test_repetition_rejects_negative_power_of_null():
     null = GQuat(1.0, 0.0, 1.0, 0.0, split)
     with pytest.raises(ZeroNorm):
         pow_by_repetition(null, -1)
+    with pytest.raises(NonFinite):  # the norm's terms overflow
+        pow_by_repetition(GQuat(1e200, 0.0, 0.0, 0.0, H), -1)
     assert pow_by_repetition(null, 2) is not None  # non-negative powers are fine
     with pytest.raises(TypeError):
         pow_by_repetition(null, 1.5)
@@ -94,6 +97,8 @@ def test_conjugation_rejects_null():
     split = family("split")
     with pytest.raises(ZeroNorm):
         conjugation_columns(GQuat(1.0, 0.0, 1.0, 0.0, split))
+    with pytest.raises(NonFinite):  # the norm's terms overflow
+        conjugation_columns(GQuat(1e200, 0.0, 0.0, 0.0, H))
 
 
 # The kernels and methods the oracle routes are compared against.

@@ -1,6 +1,7 @@
 """The package's export list, the standard-library-only runtime, and the README tour."""
 
 import ast
+import io
 import operator
 import re
 import subprocess
@@ -115,6 +116,13 @@ def test_readme_family_table_is_the_code():
     for name, triple in rows.items():
         lam = tuple(float(x) for x in triple.strip("()").split(","))
         assert core._FAMILIES[name] == lam and family(name) == ParamTriple(*lam), name
+
+
+def test_usage_family_list_is_the_code():
+    err = io.StringIO()
+    assert cli.main(["--help"], stdout=io.StringIO(), stderr=err) == cli.EXIT_OK
+    listed = re.search(r"Families: (.*?)\.", " ".join(err.getvalue().split())).group(1)
+    assert listed.split(", ") == [*core._FAMILIES, "2param:l,m"]
 
 
 def _src_kernels() -> set[str]:

@@ -368,6 +368,10 @@ def test_roots_validate_input():
         matrix_roots(P_THIRD, 0)
     with pytest.raises(ValueError, match="root degree"):
         matrix_roots(P_THIRD, MAX_ROOT_DEGREE + 1)
+    # str() of an int past 4,300 digits raises its own ValueError.
+    for huge in (10**5000, -10**5000):
+        with pytest.raises(ValueError, match="^root degree must be"):
+            matrix_roots(GQuat(0.6, 0.8, 0.0, 0.0, H), huge)
 
 
 # --- periodicity ------------------------------------------------------------------------
