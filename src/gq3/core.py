@@ -77,8 +77,8 @@ def _finite(x, isfinite=math.isfinite):
 class _Record:
     """An immutable record: equality, hash, repr and match patterns over ``__match_args__``.
 
-    A subclass names its fields, in constructor order, in ``__match_args__`` and writes
-    them to the instance ``__dict__`` in its ``__init__``.  Records are equal when they
+    A subclass names its fields, in constructor order, in ``__match_args__``, each an
+    attribute of the instance; ``_fields`` is their tuple.  Records are equal when they
     are of the same class and their field tuples are equal; the hash is that of the
     field tuple.  Assignment and deletion raise ``dataclasses.FrozenInstanceError``,
     imported only then: the dataclasses module costs a process more than all of gq3.
