@@ -1,9 +1,9 @@
 """Command-line front end emitting machine-readable JSON.
 
-Single-shot usage picks the algebra with ``--params`` or ``--family``, names
-an operation and passes operands as comma-separated literals::
+Single-shot usage picks the algebra with ``--params`` (a triple or a family name),
+names an operation and passes operands as comma-separated literals::
 
-    gq3 --family hamilton mul "1,0,0,0" "0,1,0,0"
+    gq3 --params hamilton mul "1,0,0,0" "0,1,0,0"
     gq3 --params 1,1,1 pow "-0.5,0.5,0.5,0.5" --n 21
 
 Batch usage reads newline-delimited JSON requests from a file (``-``: stdin)
@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 
 
 class RequestError(Exception):
-    """Malformed request: unknown op, bad literal, wrong arity, missing option."""
+    """Malformed request or argv: unknown op or flag, bad literal, wrong arity, missing option."""
 
 
 # --- operand and parameter parsing ------------------------------------------
@@ -126,7 +126,7 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
         if isinstance(value, (list, tuple)) and len(value) == size:
             try:
                 return cls._of(map(float, value), params)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise RequestError(f"bad {what} {value!r}: {exc}") from None
         raise RequestError(f"expected a {what} ({size} components), got {value!r}")
 
@@ -135,7 +135,10 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
 
 def _scalar(value: object, params: ParamTriple) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        number = float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
     elif isinstance(value, str):
         try:
             number = float(value)
@@ -221,22 +224,20 @@ class OpSpec(_Record):
     each operand and the encoder of the result, is worked out once here.
     """
 
-    __match_args__ = ("operands", "owner", "name", "tag", "ints", "tol", "root_degree")
+    __match_args__ = ("operands", "owner", "name", "tag", "ints", "tol")
 
-    # root_degree: option n is a root degree, from 1 to polar.MAX_ROOT_DEGREE.
     def __init__(self, operands: tuple[str, ...], owner: object, name: str, tag: str,
-                 ints: tuple[str, ...], tol: str | None, root_degree: bool):
-        self._init_fields(operands, owner, name, tag, ints, tol, root_degree)
+                 ints: tuple[str, ...], tol: str | None):
+        self._init_fields(operands, owner, name, tag, ints, tol)
         self.__dict__.update(_coercers=tuple(map(_COERCE.__getitem__, operands)),
                              _encode=_ENCODE[tag])
 
 
-def _op(operands: str, call: str, tag: str, *, ints: str = "", tol: str | None = None,
-        root_degree: bool = False) -> OpSpec:
+def _op(operands: str, call: str, tag: str, *, ints: str = "", tol: str | None = None) -> OpSpec:
     # ``call`` is "owner.name" or a bare name, both in this module's namespace.
     owner, _, name = call.rpartition(".")
     return OpSpec(tuple(operands.split()), globals()[owner] if owner else sys.modules[__name__],
-                  name, tag, tuple(ints.split()), tol, root_degree)
+                  name, tag, tuple(ints.split()), tol)
 
 
 def _det(q: GQuat) -> float:
@@ -268,7 +269,7 @@ OPS: dict[str, OpSpec] = {
     "matrix-pow": _op("quat", "polar.matrix_pow", "mat4", ints="n", tol="unit_tol"),
     "exp": _op("vec scalar", "polar.euler_exp", "quat", tol="axis_tol"),
     "exp-matrix": _op("vec scalar", "polar.euler_exp_matrix", "mat4", tol="axis_tol"),
-    "roots": _op("quat", "polar.matrix_roots", "roots", ints="n", tol="unit_tol", root_degree=True),
+    "roots": _op("quat", "polar.matrix_roots", "roots", ints="n", tol="unit_tol"),
     "period": _op("quat", "polar.power_period", "period", tol="unit_tol"),
     "scaled-pow": _op("quat", "polar.scaled_power_relation", "quat", ints="n s"),
     "bracket": _op("vec vec", "lie.bracket", "vector"),
@@ -322,8 +323,6 @@ def execute_request(request: dict) -> tuple[dict, int]:
             args.append(coerce(value, params))
         for key in op.ints:
             args.append(_require_int_option(options, key))
-        if op.root_degree:
-            polar._check_root_degree(args[-1])  # its ValueError is a bad_request
         # Without a tolerance the call passes none, so the library default applies.
         tol = options.get("tolerance")
         if tol is not None:
@@ -331,7 +330,10 @@ def execute_request(request: dict) -> tuple[dict, int]:
                 raise RequestError(f"operation {op_name!r} takes no tolerance")
             if isinstance(tol, bool) or not isinstance(tol, (int, float)):
                 raise RequestError(f"tolerance must be a number, got {tol!r}")
-            tol = float(tol)
+            try:
+                tol = float(tol)
+            except OverflowError:  # an integer past the float range
+                tol = math.inf if tol > 0 else -math.inf
             polar._check_tolerance(tol, "tolerance")  # its ValueError is a bad_request
     except (RequestError, ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")
@@ -344,6 +346,10 @@ def execute_request(request: dict) -> tuple[dict, int]:
         result = {op.tag: op._encode(value)}
     except AlgebraError as exc:
         return _error(exc.code, exc), EXIT_DOMAIN_ERROR
+    except ValueError as exc:
+        # An argument the library refuses, as matrix_roots does a degree outside
+        # 1..MAX_ROOT_DEGREE.  After AlgebraError: NonFinite is a ValueError too.
+        return _error("bad_request", exc), EXIT_USAGE
     return {"status": "ok", "result": result}, EXIT_OK
 
 
@@ -393,18 +399,17 @@ def _run_batch(path: str, inp, out, err) -> int:
     return EXIT_OK
 
 
+# Single-shot flag -> the request field it sets; each takes one value.
+_FLAGS = {"--params": "params", "--n": "n", "--s": "s", "--tol": "tolerance"}
+
 _USAGE = """\
-usage: gq3 [--params L1,L2,L3 | --family NAME] OP [OPERANDS...] [--n N] [--s S] [--tol TOL]
+usage: gq3 --params L1,L2,L3|NAME OP [OPERANDS...] [--n N] [--s S] [--tol TOL]
        gq3 batch FILE        (FILE "-" reads standard input)
 
 Operands are comma-separated literals: quaternions "a0,a1,a2,a3", vectors
 "a1,a2,a3", plain numbers for scalars.  Families: hamilton, split, semi,
 split-semi, quarter, 2param:l,m.  Batch files hold one JSON request per line.
 """
-
-
-class _ArgvError(Exception):
-    pass
 
 
 def _parse_argv(argv: Sequence[str]) -> dict:
@@ -415,9 +420,7 @@ def _parse_argv(argv: Sequence[str]) -> dict:
     flags (each taking one value), then the op name, then operands, in any
     interleaving.
     """
-    flags = {"--params": "params", "--family": "family", "--n": "n",
-             "--s": "s", "--tol": "tolerance"}
-    parsed: dict[str, object] = {**dict.fromkeys(flags.values()), "op": None, "operands": []}
+    parsed: dict[str, object] = {**dict.fromkeys(_FLAGS.values()), "op": None, "operands": []}
     i = 0
     while i < len(argv):
         token = argv[i]
@@ -425,14 +428,14 @@ def _parse_argv(argv: Sequence[str]) -> dict:
             parsed["help"] = True
             i += 1
             continue
-        if token in flags:
+        if token in _FLAGS:
             if i + 1 >= len(argv):
-                raise _ArgvError(f"{token} needs a value")
-            parsed[flags[token]] = argv[i + 1]
+                raise RequestError(f"{token} needs a value")
+            parsed[_FLAGS[token]] = argv[i + 1]
             i += 2
             continue
         if token.startswith("--"):
-            raise _ArgvError(f"unknown option {token!r}")
+            raise RequestError(f"unknown option {token!r}")
         if parsed["op"] is None:
             parsed["op"] = token
         else:
@@ -441,14 +444,15 @@ def _parse_argv(argv: Sequence[str]) -> dict:
     return parsed
 
 
-def _literal(text: str | None, kind: type) -> object:
-    # A literal of the option's type (int for --n/--s, float for --tol)
-    # becomes a number; anything else is passed on unchanged, to be rejected,
-    # or ignored by an op that takes no such option.
-    try:
-        return kind(text)
-    except (TypeError, ValueError):
-        return text
+def _literal(text: str | None) -> object:
+    # An option flag's value as a batch line would carry it: an int if the text is one, else
+    # a float, else the text itself (None for an absent flag), for execute_request to judge.
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except (TypeError, ValueError):
+            pass
+    return text
 
 
 def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=None) -> int:
@@ -459,7 +463,7 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
 
     try:
         ns = _parse_argv(argv)
-    except _ArgvError as exc:
+    except RequestError as exc:
         print(f"gq3: {exc}", file=err)
         print(_USAGE, file=err, end="")
         return EXIT_USAGE
@@ -469,9 +473,9 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
         return EXIT_OK if ns.get("help") else EXIT_USAGE
 
     if ns["op"] == "batch":
-        if ns["params"] or ns["family"]:
-            print("gq3: batch requests carry their own params; "
-                  "--params/--family not allowed", file=err)
+        if any(ns[field] is not None for field in _FLAGS.values()):
+            print("gq3: batch requests carry their own params and options; "
+                  f"{'/'.join(_FLAGS)} not allowed", file=err)
             return EXIT_USAGE
         if len(ns["operands"]) != 1:
             print("gq3: batch needs exactly one file path", file=err)
@@ -482,22 +486,12 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
         print(f"gq3: unknown operation {ns['op']!r}; known: {', '.join(sorted(OPS))}", file=err)
         return EXIT_USAGE
 
-    if not ns["params"] and not ns["family"]:
-        print("gq3: pick an algebra with --params or --family", file=err)
-        return EXIT_USAGE
-    if ns["params"] and ns["family"]:
-        print("gq3: --params and --family are mutually exclusive", file=err)
-        return EXIT_USAGE
-
-    # Checked by execute_request as a batch line's options are; None stands
-    # for an absent flag there too.
-    options = {"n": _literal(ns["n"], int), "s": _literal(ns["s"], int),
-               "tolerance": _literal(ns["tolerance"], float)}
+    # The request a batch line would carry; None stands for an absent flag there too.
     request = {
-        "params": ns["params"] if ns["params"] else ns["family"],
+        "params": ns["params"],
         "op": ns["op"],
-        "operands": list(ns["operands"]),
-        "options": options,
+        "operands": ns["operands"],
+        "options": {key: _literal(ns[key]) for key in ("n", "s", "tolerance")},
     }
     response, code = execute_request(request)
     if code == EXIT_USAGE:

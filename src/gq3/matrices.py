@@ -145,10 +145,11 @@ def base_matrices(params: ParamTriple) -> tuple[Mat4, Mat4, Mat4, Mat4]:
     return tuple(left_matrix(GQuat.basis(i, params)) for i in range(4))
 
 
-def _det3(m, r0: int, r1: int, r2: int, c0: int, c1: int, c2: int) -> float:
-    return (m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-            - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-            + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0]))
+def _det3(m, c0: int, c1: int, c2: int) -> float:
+    # The minor of det4's expansion: rows 1, 2, 3 and columns c0, c1, c2.
+    return (m[1][c0] * (m[2][c1] * m[3][c2] - m[2][c2] * m[3][c1])
+            - m[1][c1] * (m[2][c0] * m[3][c2] - m[2][c2] * m[3][c0])
+            + m[1][c2] * (m[2][c0] * m[3][c1] - m[2][c1] * m[3][c0]))
 
 
 def det4(m) -> float:
@@ -165,7 +166,7 @@ def det4(m) -> float:
     cols = (0, 1, 2, 3)
     for j in cols:
         rest = tuple(c for c in cols if c != j)
-        total += sign * rows[0][j] * _det3(rows, 1, 2, 3, *rest)
+        total += sign * rows[0][j] * _det3(rows, *rest)
         sign = -sign
     return _finite(total)
 

@@ -166,15 +166,6 @@ def _angle(n: int, theta: float) -> float:
     return angle
 
 
-def _check_root_degree(n: int) -> None:
-    """Raise ValueError unless 1 <= n <= MAX_ROOT_DEGREE; shared with the CLI."""
-    if not 1 <= n <= MAX_ROOT_DEGREE:
-        bound = ">= 1" if n < 1 else f"<= {MAX_ROOT_DEGREE}"
-        # As in _power: str() of an int past 4,300 digits, more than JSON carries, raises.
-        got = n if abs(n) < 10 ** 4300 else "an integer of more than 4,300 digits"
-        raise ValueError(f"root degree must be {bound}, got {got}")
-
-
 def _check_tolerance(tol: float, name: str) -> None:
     """Raise ValueError unless the gate tolerance ``tol`` is finite and >= 0.
 
@@ -259,10 +250,15 @@ def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> tuple[
     """The n matrix solutions of X^n = left_matrix(p) for unit elliptic p, as a tuple.
 
     Root k, at index k = 0..n-1, is the polar matrix at angle (theta + 2*pi*k)/n
-    with the same axis.  The degree n runs from 1 to MAX_ROOT_DEGREE.
+    with the same axis.  The degree n runs from 1 to MAX_ROOT_DEGREE: outside that
+    range ValueError, raised before the element is looked at.
     """
     _require_int(n)
-    _check_root_degree(n)
+    if not 1 <= n <= MAX_ROOT_DEGREE:
+        bound = ">= 1" if n < 1 else f"<= {MAX_ROOT_DEGREE}"
+        # As in _power: str() of an int past 4,300 digits, more than JSON carries, raises.
+        got = n if abs(n) < 10 ** 4300 else "an integer of more than 4,300 digits"
+        raise ValueError(f"root degree must be {bound}, got {got}")
     form = _unit_polar(p, unit_tol)
     axis, theta = form.axis, form.theta
     # theta + 2*pi*k already associated as theta + (2*pi)*k: hoisting 2*pi keeps every bit.

@@ -27,7 +27,7 @@ from pathlib import Path
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 436
+COUNT = 439
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -124,6 +124,13 @@ FIXED += [
 FIXED += [
     {"params": "Hamilton", "op": "norm", "operands": [[1, 0, 0, 0]]},
     {"params": "two-param:1,2", "op": "norm", "operands": [[1, 0, 0, 0]]},
+]
+# A JSON integer past the float range gets the message of the place it is read in.
+FIXED += [
+    {"params": "hamilton", "op": "norm", "operands": [[10**400, 0, 0, 0]]},
+    {"params": "hamilton", "op": "scale", "operands": [10**400, [1, 0, 0, 0]]},
+    {"params": "hamilton", "op": "period", "operands": [[1, 0, 0, 0]],
+     "options": {"tolerance": 10**400}},
 ]
 
 

@@ -38,7 +38,7 @@ def run_json(argv):
 # --- single-shot basics --------------------------------------------------------
 
 def test_mul_example():
-    code, out, err = run(["--family", "hamilton", "mul", "1,0,0,0", "0,1,0,0"])
+    code, out, err = run(["--params", "hamilton", "mul", "1,0,0,0", "0,1,0,0"])
     assert code == 0
     assert out == '{"status":"ok","result":{"quat":[0.0,1.0,0.0,0.0]}}\n'
 
@@ -82,14 +82,21 @@ def test_period_of_worked_example():
 
 
 def test_params_and_family_agree():
-    _, by_params = run_json(["--params", "1,1,-1", "norm", "0,0,1,0"])
-    _, by_family = run_json(["--family", "split", "norm", "0,0,1,0"])
-    assert by_params == by_family
-    assert by_params["result"]["scalar"] == -1.0
+    _, by_triple = run_json(["--params", "1,1,-1", "norm", "0,0,1,0"])
+    _, by_name = run_json(["--params", "split", "norm", "0,0,1,0"])
+    assert by_triple == by_name
+    assert by_triple["result"]["scalar"] == -1.0
+
+
+def test_family_is_not_an_option():
+    # --params takes a family name; there is no second flag for it.
+    code, out, err = run(["--family", "hamilton", "norm", "1,0,0,0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("gq3: unknown option '--family'\n")
 
 
 def test_two_param_family():
-    code, body = run_json(["--family", "2param:2,3", "norm", "0,1,0,0"])
+    code, body = run_json(["--params", "2param:2,3", "norm", "0,1,0,0"])
     assert code == 0
     assert body["result"]["scalar"] == 2.0  # l1*l2 = 1*2
 
@@ -116,6 +123,31 @@ TOLERANCE_CASES = {
 
 def test_tolerance_cases_cover_every_op_that_takes_one():
     assert {name for name, spec in OPS.items() if spec.tol} == set(TOLERANCE_CASES)
+
+
+@pytest.mark.parametrize("op,operand,flag,exit_code", [
+    ("matrix-pow", "2,0,0,0", "2.0", 1),  # non_unit: n = 2.0 is taken as 2
+    ("pow", "-0.5,0.5,0.5,0.5", "1e3", 0),
+    ("pow", "-0.5,0.5,0.5,0.5", "2.5", 2),  # not an integer
+])
+def test_option_flags_are_read_as_a_batch_line_carries_them(op, operand, flag, exit_code):
+    code, out, err = run(["--params", "hamilton", op, operand, "--n", flag])
+    response, batch_code = execute_request(
+        {"params": "hamilton", "op": op, "operands": [operand], "options": {"n": float(flag)}})
+    assert code == batch_code == exit_code
+    if code == 2:
+        assert (out, err) == ("", f"gq3: {response['message']}\n")
+    else:
+        line = io.StringIO()
+        _emit(response, line)
+        assert out == line.getvalue()
+
+
+@pytest.mark.parametrize("digits,shown", [("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf")])
+def test_tolerance_flag_past_the_float_range_is_infinite(digits, shown):
+    code, out, err = run(["--params", "hamilton", "period", "1,0,0,0", "--tol", digits])
+    assert (code, out) == (2, "")
+    assert err == f"gq3: tolerance must be finite and >= 0, got {shown}\n"
 
 
 def test_tolerance_override_flows_through():
@@ -248,7 +280,7 @@ def test_every_library_error_code_is_cli_reachable():
     ["--params", "1,inf,1", "norm", "1,0,0,0"],             # non-finite parameter
     ["--params", "1,1,1", "frobnicate", "1,0,0,0"],         # unknown op
     ["mul", "1,0,0,0", "0,1,0,0"],                          # no algebra chosen
-    ["--params", "1,1,1", "--family", "split", "norm", "1,0,0,0"],  # both given
+    ["--params", "1,1,1", "--family", "split", "norm", "1,0,0,0"],  # no --family flag
     ["--params", "1,1,1", "pow", "1,0,0,0", "--n", "two"],  # non-integer n
     ["--params", "1,1,1", "pow", "-0.5,0.5,0.5,0.5"],       # missing required n
     ["--params", "1,1,1", "roots", "-0.5,0.5,0.5,0.5", "--n", "0"],  # degree < 1
@@ -525,6 +557,16 @@ def test_batch_rejects_global_params(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--n", "3"), ("--s", "1"), ("--tol", "1e-6")])
+def test_batch_refuses_single_shot_options(tmp_path, flag, value):
+    # Each batch line carries its own options: a flag would be dropped without a word.
+    path = tmp_path / "x.ndjson"
+    path.write_text('{"params": "hamilton", "op": "norm", "operands": [[1, 0, 0, 0]]}\n')
+    code, out, err = run(["batch", str(path), flag, value])
+    assert (code, out) == (2, "")
+    assert err.startswith("gq3: batch requests carry their own params and options")
+
+
 # One request per error code; every op in OPS gets a well-formed line besides.
 BATCH_ERROR_REQUESTS = [
     {"params": [1, 1, -1], "op": "inverse", "operands": ["1,0,1,0"]},
@@ -613,7 +655,7 @@ def test_generator_writes_the_committed_responses(tmp_path):
     ("semi", "[[-8.0,0.0,0.0],[0.0,0.0,0.0],[0.0,0.0,0.0]]"),
 ])
 def test_killing_matrix_prints_positive_zeros(params, rows):
-    code, out, err = run(["--family", params, "killing-matrix"])
+    code, out, err = run(["--params", params, "killing-matrix"])
     assert code == 0
     assert out == '{"status":"ok","result":{"mat3":' + rows + '}}\n'
 

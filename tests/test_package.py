@@ -125,6 +125,10 @@ def test_usage_family_list_is_the_code():
     assert listed.split(", ") == [*core._FAMILIES, "2param:l,m"]
 
 
+def test_usage_flags_are_the_code():
+    assert re.findall(r"--\w+", cli._USAGE.splitlines()[0]) == list(cli._FLAGS)
+
+
 def _src_kernels() -> set[str]:
     """The kernels in src: core's kernel section, up to its first class, and every marked one."""
     core_text = (SRC / "gq3" / "core.py").read_text(encoding="utf-8")
