@@ -47,14 +47,24 @@ class RequestError(Exception):
 # --- operand and parameter parsing ------------------------------------------
 
 
+def _show(value: object) -> str:
+    # repr of a request value for a message.  repr raises ValueError for an int past 4,300
+    # digits, which only a Python caller can send: JSON refuses such a literal.
+    try:
+        return repr(value)
+    except ValueError:
+        digits = "an integer of more than 4,300 digits"
+        return digits if isinstance(value, int) else f"a value holding {digits}"
+
+
 def _parse_numbers(text: str, count: int, what: str) -> list[float]:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != count:
-        raise RequestError(f"{what} needs {count} comma-separated numbers, got {text!r}")
+        raise RequestError(f"{what} needs {count} comma-separated numbers, got {_show(text)}")
     try:
         return [float(piece) for piece in parts]
     except ValueError:
-        raise RequestError(f"{what} has a non-numeric component: {text!r}") from None
+        raise RequestError(f"{what} has a non-numeric component: {_show(text)}") from None
 
 
 _TRIPLES: dict[str | bytes, ParamTriple] = {}  # see parse_params
@@ -84,11 +94,11 @@ def parse_params(value: object) -> ParamTriple:
 def _parse_params(value: object) -> ParamTriple:
     if isinstance(value, (list, tuple)):
         if len(value) != 3:
-            raise RequestError(f"params list needs 3 entries, got {value!r}")
+            raise RequestError(f"params list needs 3 entries, got {_show(value)}")
         try:
             return ParamTriple(*[float(v) for v in value])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise RequestError(f"bad params {value!r}: {exc}") from None
+            raise RequestError(f"bad params {_show(value)}: {exc}") from None
     if isinstance(value, str):
         text = value.strip()
         name, colon, rest = text.partition(":")
@@ -99,7 +109,7 @@ def _parse_params(value: object) -> ParamTriple:
             return family(name, *values)
         except ValueError as exc:
             raise RequestError(str(exc)) from None
-    raise RequestError(f"cannot interpret params {value!r}")
+    raise RequestError(f"cannot interpret params {_show(value)}")
 
 
 def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple], object]:
@@ -112,9 +122,9 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
             if isinstance(value, dict):
                 if set(value) - {"components", "params"}:
                     raise RequestError(
-                        f"operand object allows keys components/params, got {value!r}")
+                        f"operand object allows keys components/params, got {_show(value)}")
                 if "components" not in value:
-                    raise RequestError(f"operand object needs 'components': {value!r}")
+                    raise RequestError(f"operand object needs 'components': {_show(value)}")
                 if "params" in value:
                     params = parse_params(value["params"])
                 value = value["components"]
@@ -127,8 +137,8 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
             try:
                 return cls._of(map(float, value), params)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise RequestError(f"bad {what} {value!r}: {exc}") from None
-        raise RequestError(f"expected a {what} ({size} components), got {value!r}")
+                raise RequestError(f"bad {what} {_show(value)}: {exc}") from None
+        raise RequestError(f"expected a {what} ({size} components), got {_show(value)}")
 
     return coerce
 
@@ -143,13 +153,13 @@ def _scalar(value: object, params: ParamTriple) -> float:
         try:
             number = float(value)
         except ValueError:
-            raise RequestError(f"expected a number, got {value!r}") from None
+            raise RequestError(f"expected a number, got {_show(value)}") from None
     else:
-        raise RequestError(f"expected a number, got {value!r}")
+        raise RequestError(f"expected a number, got {_show(value)}")
     # Rejected here like a non-finite quaternion component, not left to
     # surface as a domain error of the operation.
     if not math.isfinite(number):
-        raise RequestError(f"expected a finite number, got {value!r}")
+        raise RequestError(f"expected a finite number, got {_show(value)}")
     return number
 
 
@@ -165,7 +175,7 @@ def _require_int_option(options: dict, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise RequestError(f"option --{key} must be an integer, got {value!r}")
+        raise RequestError(f"option --{key} must be an integer, got {_show(value)}")
     return value
 
 
@@ -217,27 +227,25 @@ class OpSpec(_Record):
     class.  It is looked up on every request rather than bound once, so that
     rebinding the attribute (as a tracer does) reaches the CLI too.  It
     receives the operands in order (the request's parameter triple when the
-    op has none), then the integer options named in ``ints``.  A request's
-    tolerance is passed under the keyword that ``tol`` names (``unit_tol`` or
-    ``axis_tol``); an op whose ``tol`` is None rejects it.  The result is
+    op has none), then the integer options named in ``ints``.  The result is
     written under ``tag``.  What the row fixes for every request, the coercer of
     each operand and the encoder of the result, is worked out once here.
     """
 
-    __match_args__ = ("operands", "owner", "name", "tag", "ints", "tol")
+    __match_args__ = ("operands", "owner", "name", "tag", "ints")
 
     def __init__(self, operands: tuple[str, ...], owner: object, name: str, tag: str,
-                 ints: tuple[str, ...], tol: str | None):
-        self._init_fields(operands, owner, name, tag, ints, tol)
+                 ints: tuple[str, ...]):
+        self._init_fields(operands, owner, name, tag, ints)
         self.__dict__.update(_coercers=tuple(map(_COERCE.__getitem__, operands)),
                              _encode=_ENCODE[tag])
 
 
-def _op(operands: str, call: str, tag: str, *, ints: str = "", tol: str | None = None) -> OpSpec:
+def _op(operands: str, call: str, tag: str, *, ints: str = "") -> OpSpec:
     # ``call`` is "owner.name" or a bare name, both in this module's namespace.
     owner, _, name = call.rpartition(".")
     return OpSpec(tuple(operands.split()), globals()[owner] if owner else sys.modules[__name__],
-                  name, tag, tuple(ints.split()), tol)
+                  name, tag, tuple(ints.split()))
 
 
 def _det(q: GQuat) -> float:
@@ -266,16 +274,16 @@ OPS: dict[str, OpSpec] = {
     "eigenvectors": _op("quat", "matrices.eigenvectors", "eigenvectors"),
     "polar": _op("quat", "polar.to_polar", "polar"),
     "pow": _op("quat", "polar.demoivre_pow", "quat", ints="n"),
-    "matrix-pow": _op("quat", "polar.matrix_pow", "mat4", ints="n", tol="unit_tol"),
-    "exp": _op("vec scalar", "polar.euler_exp", "quat", tol="axis_tol"),
-    "exp-matrix": _op("vec scalar", "polar.euler_exp_matrix", "mat4", tol="axis_tol"),
-    "roots": _op("quat", "polar.matrix_roots", "roots", ints="n", tol="unit_tol"),
-    "period": _op("quat", "polar.power_period", "period", tol="unit_tol"),
+    "matrix-pow": _op("quat", "polar.matrix_pow", "mat4", ints="n"),
+    "exp": _op("vec scalar", "polar.euler_exp", "quat"),
+    "exp-matrix": _op("vec scalar", "polar.euler_exp_matrix", "mat4"),
+    "roots": _op("quat", "polar.matrix_roots", "roots", ints="n"),
+    "period": _op("quat", "polar.power_period", "period"),
     "scaled-pow": _op("quat", "polar.scaled_power_relation", "quat", ints="n s"),
     "bracket": _op("vec vec", "lie.bracket", "vector"),
     "adjoint": _op("quat", "lie.adjoint_group", "mat3"),
     "skew": _op("vec", "lie.skew_of_axis", "mat3"),
-    "rodrigues": _op("vec scalar", "lie.adjoint_rodrigues", "mat3", tol="axis_tol"),
+    "rodrigues": _op("vec scalar", "lie.adjoint_rodrigues", "mat3"),
     "ad": _op("vec", "lie.ad_matrix", "mat3"),
     "killing": _op("vec vec", "lie.killing_form", "scalar"),
     "killing-matrix": _op("", "lie.killing_matrix", "mat3"),
@@ -299,7 +307,7 @@ def execute_request(request: dict) -> tuple[dict, int]:
         op_name = request.get("op")
         op = OPS.get(op_name) if isinstance(op_name, str) else None
         if op is None:
-            raise RequestError(f"unknown operation {op_name!r}")
+            raise RequestError(f"unknown operation {_show(op_name)}")
         params_field = request.get("params")
         if params_field is None:
             raise RequestError("request needs params (triple or family name)")
@@ -310,7 +318,7 @@ def execute_request(request: dict) -> tuple[dict, int]:
         coercers = op._coercers
         if len(raw_operands) != len(coercers):
             raise RequestError(
-                f"operation {op_name!r} needs {len(coercers)} operand(s), "
+                f"operation {_show(op_name)} needs {len(coercers)} operand(s), "
                 f"got {len(raw_operands)}")
         options = request.get("options", {})
         if options is None:
@@ -323,18 +331,9 @@ def execute_request(request: dict) -> tuple[dict, int]:
             args.append(coerce(value, params))
         for key in op.ints:
             args.append(_require_int_option(options, key))
-        # Without a tolerance the call passes none, so the library default applies.
-        tol = options.get("tolerance")
-        if tol is not None:
-            if op.tol is None:
-                raise RequestError(f"operation {op_name!r} takes no tolerance")
-            if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-                raise RequestError(f"tolerance must be a number, got {tol!r}")
-            try:
-                tol = float(tol)
-            except OverflowError:  # an integer past the float range
-                tol = math.inf if tol > 0 else -math.inf
-            polar._check_tolerance(tol, "tolerance")  # its ValueError is a bad_request
+        # The unit gates are fixed: a request asking for a looser one is refused, not answered.
+        if options.get("tolerance") is not None:
+            raise RequestError(f"operation {_show(op_name)} takes no tolerance")
     except (RequestError, ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")
         # and integers too large for a float
@@ -342,8 +341,7 @@ def execute_request(request: dict) -> tuple[dict, int]:
 
     try:
         target = getattr(op.owner, op.name)
-        value = target(*args) if tol is None else target(*args, **{op.tol: tol})
-        result = {op.tag: op._encode(value)}
+        result = {op.tag: op._encode(target(*args))}
     except AlgebraError as exc:
         return _error(exc.code, exc), EXIT_DOMAIN_ERROR
     except ValueError as exc:
@@ -400,10 +398,10 @@ def _run_batch(path: str, inp, out, err) -> int:
 
 
 # Single-shot flag -> the request field it sets; each takes one value.
-_FLAGS = {"--params": "params", "--n": "n", "--s": "s", "--tol": "tolerance"}
+_FLAGS = {"--params": "params", "--n": "n", "--s": "s"}
 
 _USAGE = """\
-usage: gq3 --params L1,L2,L3|NAME OP [OPERANDS...] [--n N] [--s S] [--tol TOL]
+usage: gq3 --params L1,L2,L3|NAME OP [OPERANDS...] [--n N] [--s S]
        gq3 batch FILE        (FILE "-" reads standard input)
 
 Operands are comma-separated literals: quaternions "a0,a1,a2,a3", vectors
@@ -491,7 +489,7 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
         "params": ns["params"],
         "op": ns["op"],
         "operands": ns["operands"],
-        "options": {key: _literal(ns[key]) for key in ("n", "s", "tolerance")},
+        "options": {key: _literal(ns[key]) for key in ("n", "s")},
     }
     response, code = execute_request(request)
     if code == EXIT_USAGE:

@@ -38,16 +38,7 @@ __all__ = [
 ]
 
 def _check_finite(names: tuple[str, ...], values: tuple, prefix: str) -> None:
-    """Raise NonFinite on NaN or +-inf among ``values``, the new values of the fields ``names``.
-
-    ``math.fsum`` converts each value to a double as ``isfinite`` does and is finite only if
-    every value is; only when it is not are the values checked one by one, to name the first.
-    """
-    try:
-        if math.isfinite(math.fsum(values)):
-            return
-    except (TypeError, ValueError, OverflowError):  # not a number, inf - inf, overflow
-        pass
+    """Raise NonFinite on NaN or +-inf among ``values``, the new values of the fields ``names``."""
     for name, v in zip(names, values):
         if not math.isfinite(v):
             raise NonFinite(f"{prefix}{name} must be finite, got {v!r}")

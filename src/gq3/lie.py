@@ -19,7 +19,7 @@ from __future__ import annotations
 from .core import GQuat, GVec3, ParamTriple, _bilinear_of, _finite, wedge
 from .errors import NotPositiveFamily
 from .matrices import Mat3, _skew_rows
-from .polar import UNIT_AXIS_TOL, _cos_sin, _require_unit_axis
+from .polar import _cos_sin, _require_unit_axis
 
 __all__ = [
     "metric_eps",
@@ -117,7 +117,7 @@ def skew_of_axis(s: GVec3) -> Mat3:
     return Mat3._of_rows(_skew_rows(s.params._lam, s.components))
 
 
-def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat3:
+def adjoint_rodrigues(axis: GVec3, theta: float) -> Mat3:
     """Adjoint of the half-angle element as I + sin(theta)*S + (1-cos(theta))*S^2.
 
     Defined for all-positive parameter families (where the bilinear form is
@@ -127,7 +127,7 @@ def adjoint_rodrigues(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_
     if not is_compact(axis.params):
         raise NotPositiveFamily(
             f"rotation decomposition needs all lambdas > 0, got {axis.params._lam}")
-    _require_unit_axis(axis, axis_tol, "axis")
+    _require_unit_axis(axis, "axis")
     c, st = _cos_sin(theta)
     return Mat3._of_rows(_rodrigues_rows(axis.params._lam, axis.components, st, 1.0 - c))
 

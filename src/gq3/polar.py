@@ -166,15 +166,6 @@ def _angle(n: int, theta: float) -> float:
     return angle
 
 
-def _check_tolerance(tol: float, name: str) -> None:
-    """Raise ValueError unless the gate tolerance ``tol`` is finite and >= 0.
-
-    abs(x) > nan is always false, so a NaN tolerance would open every gate.
-    """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {tol!r}")
-
-
 def _axis_polar(p: GQuat) -> PolarForm:
     # to_polar for the operations that turn the angle about the axis.
     form = to_polar(p)
@@ -183,20 +174,18 @@ def _axis_polar(p: GQuat) -> PolarForm:
     return form
 
 
-def _unit_polar(p: GQuat, unit_tol: float) -> PolarForm:
-    _check_tolerance(unit_tol, "unit_tol")
+def _unit_polar(p: GQuat) -> PolarForm:
     n = _dot(p.params._lam, p.components, p.components)  # not norm(): inf fails as non_unit
-    if not abs(n - 1.0) <= unit_tol:  # a NaN norm fails too
+    if not abs(n - 1.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
         raise NonUnit(f"norm {n} != 1; operation is defined for unit quaternions")
     return _axis_polar(p)
 
 
-def _require_unit_axis(v: GVec3, axis_tol: float, name: str) -> None:
-    # The unit-axis gate, |f(v, v) - 1| <= axis_tol, of every operation that
+def _require_unit_axis(v: GVec3, name: str) -> None:
+    # The unit-axis gate, |f(v, v) - 1| <= UNIT_AXIS_TOL, of every operation that
     # needs a unit direction; ``name`` labels the vector in the message.
-    _check_tolerance(axis_tol, "axis_tol")
     ff = _bilinear_of(v, v)
-    if not abs(ff - 1.0) <= axis_tol:  # a NaN f(v, v) fails too
+    if not abs(ff - 1.0) <= UNIT_AXIS_TOL:  # a NaN f(v, v) fails too
         raise NotUnitVector(f"f({name}, {name}) = {ff} != 1")
 
 
@@ -214,7 +203,7 @@ def _period(theta: float) -> int:
     return m
 
 
-def matrix_pow(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> Mat4:
+def matrix_pow(p: GQuat, n: int) -> Mat4:
     """nth power of the left-multiplication matrix of a unit elliptic quaternion.
 
     Computed as the polar matrix at angle n*theta (negative n included via
@@ -222,31 +211,31 @@ def matrix_pow(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> Mat4:
     multiplication or inversion.  Raises NonFinite when n*theta overflows.
     """
     _require_int(n)
-    form = _unit_polar(p, unit_tol)
+    form = _unit_polar(p)
     return polar_matrix(form.axis, _angle(n, form.theta))
 
 
-def euler_exp(v: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> GQuat:
+def euler_exp(v: GVec3, theta: float) -> GQuat:
     """Exponential cos(theta) + v*sin(theta) of a unit pure direction.
 
     ``v`` must satisfy f(v, v) = 1; such a vector squares to -1 in the
     algebra, making the exponential series collapse to cosine and sine.
     """
-    _require_unit_axis(v, axis_tol, "v")
+    _require_unit_axis(v, "v")
     return PolarForm(1.0, theta, v, v.params).compose()
 
 
-def euler_exp_matrix(axis: GVec3, theta: float, *, axis_tol: float = UNIT_AXIS_TOL) -> Mat4:
+def euler_exp_matrix(axis: GVec3, theta: float) -> Mat4:
     """Matrix form of the exponential: cos(theta)*I + sin(theta)*P.
 
     P is the left-multiplication matrix of the unit pure direction; it
     satisfies P @ P = -I, so the matrix series also collapses.
     """
-    _require_unit_axis(axis, axis_tol, "axis")
+    _require_unit_axis(axis, "axis")
     return polar_matrix(axis, theta)
 
 
-def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> tuple[Mat4, ...]:
+def matrix_roots(p: GQuat, n: int) -> tuple[Mat4, ...]:
     """The n matrix solutions of X^n = left_matrix(p) for unit elliptic p, as a tuple.
 
     Root k, at index k = 0..n-1, is the polar matrix at angle (theta + 2*pi*k)/n
@@ -259,20 +248,20 @@ def matrix_roots(p: GQuat, n: int, *, unit_tol: float = UNIT_NORM_TOL) -> tuple[
         # As in _power: str() of an int past 4,300 digits, more than JSON carries, raises.
         got = n if abs(n) < 10 ** 4300 else "an integer of more than 4,300 digits"
         raise ValueError(f"root degree must be {bound}, got {got}")
-    form = _unit_polar(p, unit_tol)
+    form = _unit_polar(p)
     axis, theta = form.axis, form.theta
     # theta + 2*pi*k already associated as theta + (2*pi)*k: hoisting 2*pi keeps every bit.
     two_pi = 2.0 * math.pi
     return tuple([polar_matrix(axis, (theta + two_pi * k) / n) for k in range(n)])
 
 
-def power_period(p: GQuat, *, unit_tol: float = UNIT_NORM_TOL) -> int | None:
+def power_period(p: GQuat) -> int | None:
     """Smallest m >= 2 with p^(k+m) = p^k for all k, if the angle admits one.
 
     Exists exactly when 2*pi/theta is an integer; detected within a relative
     tolerance because theta comes out of atan2.  Returns None otherwise.
     """
-    form = _unit_polar(p, unit_tol)
+    form = _unit_polar(p)
     try:
         return _period(form.theta)
     except NoPeriod:

@@ -82,7 +82,7 @@ FIXED = [
 ]
 # JSON's non-finite literals NaN, Infinity and -Infinity, which Python's decoder accepts, in
 # each place a number is read: a quaternion, a vector, an operand object's components, a
-# params list, a scalar operand and the tolerance.
+# params list and a scalar operand; and as a tolerance, which every op refuses.
 FIXED += [request
           for x in (math.nan, math.inf, -math.inf)
           for request in (

@@ -107,22 +107,40 @@ def test_scale_and_option_ops():
     assert body["result"]["quat"] == [2.5, 0.0, 0.0, 5.0]
 
 
-# Every op with a gate that --tol relaxes, with an operand whose norm or
-# f(v, v) misses one by 1e-8 or 2e-8, just outside the default gate.
-FUZZY_QUAT = "-0.50000001,0.5,0.5,0.5"
-FUZZY_AXIS = "1.00000001,0,0"
-TOLERANCE_CASES = {
-    "matrix-pow": [FUZZY_QUAT, "--n", "2"],
-    "roots": [FUZZY_QUAT, "--n", "2"],
-    "period": [FUZZY_QUAT],
-    "exp": [FUZZY_AXIS, "0.5"],
-    "exp-matrix": [FUZZY_AXIS, "0.5"],
-    "rodrigues": [FUZZY_AXIS, "0.5"],
-}
+# The unit gates are fixed; operands typed with ten significant digits pass them, four do not.
+@pytest.mark.parametrize("argv,code,answer", [
+    (["matrix-pow", "0.7071067812,0.7071067812,0,0", "--n", "2"], 0, "ok"),
+    (["exp", "0.5773502692,0.5773502692,0.5773502692", "0.5"], 0, "ok"),
+    (["matrix-pow", "0.7071,0.7071,0,0", "--n", "2"], 1, "non_unit"),
+])
+def test_ten_digit_operands_pass_the_fixed_unit_gates(argv, code, answer):
+    exit_code, body = run_json(["--params", "hamilton", *argv])
+    assert (exit_code, body.get("code", body["status"])) == (code, answer)
 
 
-def test_tolerance_cases_cover_every_op_that_takes_one():
-    assert {name for name, spec in OPS.items() if spec.tol} == set(TOLERANCE_CASES)
+def test_tol_is_not_an_option():
+    code, out, err = run(["--params", "hamilton", "matrix-pow", "2,0,0,1", "--n", "2",
+                          "--tol", "1e-6"])
+    assert (code, out) == (2, "")
+    assert err.startswith("gq3: unknown option '--tol'\n")
+
+
+def _well_formed(op: str) -> dict:
+    # A request for ``op`` that passes the request checks: unit operands, both integer options.
+    literal = {"quat": [-0.5, 0.5, 0.5, 0.5], "vec": [1, 0, 0], "scalar": 0.5}
+    return {"params": "hamilton", "op": op, "options": {"n": 2, "s": 1},
+            "operands": [literal[kind] for kind in OPS[op].operands]}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_every_op_refuses_a_tolerance(op):
+    request = _well_formed(op)
+    refused = {**request, "options": {**request["options"], "tolerance": 1e-6}}
+    assert execute_request(refused) == (
+        {"status": "error", "code": "bad_request",
+         "message": f"operation {op!r} takes no tolerance"}, 2)
+    absent = {**request, "options": {**request["options"], "tolerance": None}}
+    assert execute_request(absent) == execute_request(request)
 
 
 @pytest.mark.parametrize("op,operand,flag,exit_code", [
@@ -141,34 +159,6 @@ def test_option_flags_are_read_as_a_batch_line_carries_them(op, operand, flag, e
         line = io.StringIO()
         _emit(response, line)
         assert out == line.getvalue()
-
-
-@pytest.mark.parametrize("digits,shown", [("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf")])
-def test_tolerance_flag_past_the_float_range_is_infinite(digits, shown):
-    code, out, err = run(["--params", "hamilton", "period", "1,0,0,0", "--tol", digits])
-    assert (code, out) == (2, "")
-    assert err == f"gq3: tolerance must be finite and >= 0, got {shown}\n"
-
-
-def test_tolerance_override_flows_through():
-    code, out, err = run(["--params", "1,1,1", "matrix-pow", FUZZY_QUAT, "--n", "2"])
-    assert code == 1
-    assert json.loads(out)["code"] == "non_unit"
-    code, body = run_json(["--params", "1,1,1", "matrix-pow", FUZZY_QUAT, "--n", "2",
-                           "--tol", "1e-6"])
-    assert code == 0
-    assert "mat4" in body["result"]
-
-
-@pytest.mark.parametrize("op", sorted(TOLERANCE_CASES))
-def test_tolerance_override_flows_through_every_op(op):
-    argv = ["--params", "1,1,1", op, *TOLERANCE_CASES[op]]
-    code, out, err = run(argv)
-    assert code == 1
-    assert json.loads(out)["code"] in ("non_unit", "not_unit_vector")
-    code, body = run_json(argv + ["--tol", "1e-6"])
-    assert code == 0
-    assert body["status"] == "ok"
 
 
 # --- every result kind round-trips ------------------------------------------------
@@ -288,11 +278,11 @@ def test_every_library_error_code_is_cli_reachable():
     ["--params", "1,1,1", "scale", "nan", "1,0,0,0"],
     ["--params", "1,1,1", "rodrigues", "1,0,0", "inf"],
     ["--params", "1,1,1", "exp", "1,0,0", "-inf"],
-    ["--params", "1,1,1", "matrix-pow", "2,0,0,1", "--n", "2", "--tol", "nan"],  # bad --tol
+    ["--params", "1,1,1", "matrix-pow", "2,0,0,1", "--n", "2", "--tol", "nan"],  # no --tol flag
     ["--params", "1,1,1", "exp", "2,0,0", "0.5", "--tol", "inf"],
     ["--params", "1,1,1", "period", "-0.5,0.5,0.5,0.5", "--tol", "-1"],
     ["--params", "1,1,1", "roots", "-0.5,0.5,0.5,0.5", "--n", "2", "--tol", "x"],
-    ["--params", "1,1,1", "add", "1,0,0,0", "0,1,0,0", "--tol", "1e-6"],  # op has no gate
+    ["--params", "1,1,1", "add", "1,0,0,0", "0,1,0,0", "--tol", "1e-6"],
     ["--params", "1,1,1", "scaled-pow", "-0.5,0.5,0.5,0.5", "--n", "4", "--s", "1",
      "--tol", "1e-6"],
     ["--unknown-flag"],
@@ -560,11 +550,13 @@ def test_batch_rejects_global_params(tmp_path):
 @pytest.mark.parametrize("flag,value", [("--n", "3"), ("--s", "1"), ("--tol", "1e-6")])
 def test_batch_refuses_single_shot_options(tmp_path, flag, value):
     # Each batch line carries its own options: a flag would be dropped without a word.
+    # --tol is no flag at all, so it is refused as unknown.
     path = tmp_path / "x.ndjson"
     path.write_text('{"params": "hamilton", "op": "norm", "operands": [[1, 0, 0, 0]]}\n')
     code, out, err = run(["batch", str(path), flag, value])
     assert (code, out) == (2, "")
-    assert err.startswith("gq3: batch requests carry their own params and options")
+    assert err.startswith("gq3: unknown option '--tol'\n" if flag == "--tol" else
+                          "gq3: batch requests carry their own params and options")
 
 
 # One request per error code; every op in OPS gets a well-formed line besides.
@@ -678,6 +670,7 @@ def test_execute_request_missing_params():
     {"op": "exp-matrix", "operands": [[1, 0, 0], -math.inf]},
     {"op": "norm", "operands": [[10 ** 400, 0, 0, 0]]},        # no float holds these
     {"op": "exp", "operands": [[1, 0, 0], 10 ** 400]},
+    # No op takes a tolerance, whatever its value.
     {"op": "exp", "operands": [[1, 0, 0], 0.5], "options": {"tolerance": math.nan}},
     {"op": "roots", "operands": [[0.6, 0.8, 0, 0]], "options": {"n": 2, "tolerance": -1e-9}},
     {"op": "norm", "operands": [[1, 0, 0, 0]], "options": {"tolerance": 1e-6}},
@@ -707,6 +700,19 @@ def test_batch_survives_an_integer_too_long_to_read(tmp_path):
     first, second = (json.loads(line) for line in out.splitlines())
     assert first["code"] == "bad_request"
     assert second["result"] == {"scalar": 4.0}
+
+
+@pytest.mark.parametrize("request_,prefix", [
+    ({"op": "norm", "operands": [[10**5000, 0, 0, 0]]}, "bad quaternion "),
+    ({"op": "scale", "operands": [10**5000, [1, 0, 0, 0]]}, "expected a finite number, got "),
+    ({"params": [10**5000, 1, 1], "op": "norm", "operands": [[1, 0, 0, 0]]}, "bad params "),
+])
+def test_an_integer_too_long_to_print_keeps_its_sites_message(request_, prefix):
+    # Only a Python caller can send one: the JSON decoder refuses such a literal first.
+    response, code = execute_request({"params": "hamilton", **request_})
+    assert (code, response["code"]) == (2, "bad_request")
+    assert response["message"].startswith(prefix)
+    assert "Exceeds the limit" not in response["message"]
 
 
 _NORM_LINE = b'{"params": "hamilton", "op": "norm", "operands": [[%d, 0, 0, 0]]}'

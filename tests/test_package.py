@@ -118,6 +118,18 @@ def test_readme_family_table_is_the_code():
         assert core._FAMILIES[name] == lam and family(name) == ParamTriple(*lam), name
 
 
+def test_readme_gate_values_are_the_code():
+    # The fixed values of the unit gates, the period test and the root degree are the contract.
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    conventions = text.partition("## Conventions and tolerances")[2].partition(" ## ")[0]
+    tols = re.findall(r"([\d.e+-]+)` \(`polar\.(\w+_TOL)\b", conventions)
+    assert sorted((name, float(value)) for value, name in tols) == [
+        ("PERIOD_REL_TOL", polar.PERIOD_REL_TOL), ("UNIT_AXIS_TOL", polar.UNIT_AXIS_TOL),
+        ("UNIT_NORM_TOL", polar.UNIT_NORM_TOL)]
+    degree = re.search(r"`roots` runs from 1 to `polar\.MAX_ROOT_DEGREE` \((\d+)\)", text)
+    assert int(degree.group(1)) == polar.MAX_ROOT_DEGREE
+
+
 def test_usage_family_list_is_the_code():
     err = io.StringIO()
     assert cli.main(["--help"], stdout=io.StringIO(), stderr=err) == cli.EXIT_OK
