@@ -31,13 +31,14 @@ from collections.abc import Callable, Sequence
 from . import lie, matrices, polar
 from .core import (GQuat, GVec3, ParamTriple, _Record, bilinear_f, family, wedge,
                    wedge_triple_left, wedge_triple_right)
-from .errors import AlgebraError
+from .errors import AlgebraError, _show
 
 __all__ = ["main", "console_main", "execute_request", "OPS"]
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE = 2
+_MESSAGE_MAX = 1024  # an error message past this many characters keeps them and its length
 
 
 class RequestError(Exception):
@@ -45,16 +46,6 @@ class RequestError(Exception):
 
 
 # --- operand and parameter parsing ------------------------------------------
-
-
-def _show(value: object) -> str:
-    # repr of a request value for a message.  repr raises ValueError for an int past 4,300
-    # digits, which only a Python caller can send: JSON refuses such a literal.
-    try:
-        return repr(value)
-    except ValueError:
-        digits = "an integer of more than 4,300 digits"
-        return digits if isinstance(value, int) else f"a value holding {digits}"
 
 
 def _parse_numbers(text: str, count: int, what: str) -> list[float]:
@@ -144,17 +135,15 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
 
 
 def _scalar(value: object, params: ParamTriple) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    number = None
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an integer past the float range
             number = math.inf
-    elif isinstance(value, str):
-        try:
-            number = float(value)
-        except ValueError:
-            raise RequestError(f"expected a number, got {_show(value)}") from None
-    else:
+        except ValueError:  # text that is not a number
+            pass
+    if number is None:
         raise RequestError(f"expected a number, got {_show(value)}")
     # Rejected here like a non-finite quaternion component, not left to
     # surface as a domain error of the operation.
@@ -191,16 +180,10 @@ _components = operator.attrgetter("components")
 _complex = operator.attrgetter("real", "imag")
 
 
-# Result tag -> how the value under that tag is written.
+# Result tag -> how its value is reshaped for json; any other tag's value is written as is.
 _ENCODE: dict[str, Callable[[object], object]] = {
     "quat": _components,
     "vector": _components,
-    "scalar": _as_is,
-    "bool": _as_is,
-    "period": _as_is,
-    "mat3": _as_is,
-    "mat4": _as_is,
-    "mat4_list": _as_is,
     "roots": lambda roots: {"degree": len(roots), "matrices": roots},
     "polar": lambda form: {
         "modulus": form.modulus,
@@ -238,7 +221,7 @@ class OpSpec(_Record):
                  ints: tuple[str, ...]):
         self._init_fields(operands, owner, name, tag, ints)
         self.__dict__.update(_coercers=tuple(map(_COERCE.__getitem__, operands)),
-                             _encode=_ENCODE[tag])
+                             _encode=_ENCODE.get(tag, _as_is))
 
 
 def _op(operands: str, call: str, tag: str, *, ints: str = "") -> OpSpec:
@@ -296,7 +279,11 @@ OPS: dict[str, OpSpec] = {
 
 
 def _error(code: str, message: Exception | str) -> dict:
-    return {"status": "error", "code": code, "message": str(message)}
+    # Every error response is built here, so every message is bounded here.
+    text = str(message)
+    if len(text) > _MESSAGE_MAX:
+        text = f"{text[:_MESSAGE_MAX]}... ({len(text):,} characters)"
+    return {"status": "error", "code": code, "message": text}
 
 
 def execute_request(request: dict) -> tuple[dict, int]:

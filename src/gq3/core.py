@@ -24,7 +24,7 @@ import math
 import operator
 from collections.abc import Sequence
 
-from .errors import NonFinite, ParamMismatch, ZeroNorm
+from .errors import NonFinite, ParamMismatch, ZeroNorm, _show
 
 __all__ = [
     "ParamTriple",
@@ -247,7 +247,7 @@ class _Componentwise(_Record):
         first = 4 - len(cls._FIELDS)
         if i not in range(first, 4):
             kind = "vector basis" if first else "basis"
-            raise ValueError(f"{kind} index must be {first}..3, got {i}")
+            raise ValueError(f"{kind} index must be {first}..3, got {_show(i)}")
         return cls(*(float(j == i) for j in range(first, 4)), params)
 
     def __add__(self, other):

@@ -19,6 +19,16 @@ __all__ = [
 ]
 
 
+def _show(value: object) -> str:
+    # A caller's value as every message shows it.  repr raises ValueError for an int past 4,300
+    # digits, which only a Python caller can send: JSON refuses such a literal.
+    try:
+        return repr(value)
+    except ValueError:
+        digits = "an integer of more than 4,300 digits"
+        return digits if isinstance(value, int) else f"a value holding {digits}"
+
+
 class AlgebraError(Exception):
     """Base class for all domain errors raised by this package."""
 

@@ -18,7 +18,7 @@ import numbers
 
 from .core import GQuat, GVec3, ParamTriple, _Record, _bilinear_of, _dot, bilinear_f
 from .errors import (CongruenceViolation, NonElliptic, NonFinite, NonUnit, NoPeriod,
-                     NotUnitVector, ZeroNorm)
+                     NotUnitVector, ZeroNorm, _show)
 from .matrices import Mat4, _mult_rows
 
 __all__ = [
@@ -197,8 +197,8 @@ def _period(theta: float) -> int:
     ratio = 2.0 * math.pi / theta  # theta > 0, as D > 0 and a0 * a0 is finite
     if not math.isfinite(ratio):
         raise NonFinite(f"2*pi/theta overflows for theta = {theta}")
-    m = round(ratio)
-    if not (m >= 2 and abs(ratio - m) < PERIOD_REL_TOL * ratio):
+    m = round(ratio)  # >= 2, as theta <= pi
+    if not abs(ratio - m) < PERIOD_REL_TOL * ratio:
         raise NoPeriod(f"2*pi/theta = {ratio} is not an integer >= 2")
     return m
 
@@ -245,9 +245,7 @@ def matrix_roots(p: GQuat, n: int) -> tuple[Mat4, ...]:
     _require_int(n)
     if not 1 <= n <= MAX_ROOT_DEGREE:
         bound = ">= 1" if n < 1 else f"<= {MAX_ROOT_DEGREE}"
-        # As in _power: str() of an int past 4,300 digits, more than JSON carries, raises.
-        got = n if abs(n) < 10 ** 4300 else "an integer of more than 4,300 digits"
-        raise ValueError(f"root degree must be {bound}, got {got}")
+        raise ValueError(f"root degree must be {bound}, got {_show(n)}")
     form = _unit_polar(p)
     axis, theta = form.axis, form.theta
     # theta + 2*pi*k already associated as theta + (2*pi)*k: hoisting 2*pi keeps every bit.
@@ -271,9 +269,9 @@ def power_period(p: GQuat) -> int | None:
 def scaled_power_relation(p: GQuat, n: int, s: int) -> GQuat:
     """Reduce p^n to modulus^(n-s) * p^s using the period of the unit part.
 
-    Requires the normalized quaternion p/modulus to have an integer power
-    period m and n = s (mod m); under those conditions the returned value
-    equals demoivre_pow(p, n).  Raises NonFinite when a power of the modulus overflows.
+    Requires p/modulus to have a power period m, recognised within PERIOD_REL_TOL, and
+    n = s (mod m); returns modulus^(n-s) * p^s, which differs from De Moivre's p^n by an
+    amount that grows with |n - s|.  Raises NonFinite when a power of the modulus overflows.
     """
     _require_int(n)
     _require_int(s)

@@ -437,6 +437,14 @@ def test_help_is_available():
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,exit_code", [
+    (["--help", "mul"], 0),  # help wins over an op
+    ([], 2),                 # no op at all
+])
+def test_help_with_an_op_and_a_bare_call_print_the_usage(argv, exit_code):
+    assert run(argv) == (exit_code, "", cli._USAGE)
+
+
 # --- batch mode ---------------------------------------------------------------------------
 
 def test_batch_empty_file(tmp_path):
@@ -497,6 +505,15 @@ def test_batch_operand_level_params(tmp_path):
     body = json.loads(out)
     assert body["status"] == "error"
     assert body["code"] == "param_mismatch"
+
+
+def test_an_operand_over_an_equal_triple_is_operated_on():
+    # "1,1,1" parses to a triple equal to, but not the same object as, hamilton's.
+    request = {"params": "hamilton", "op": "mul", "operands": [
+        [1, 2, 3, 4], {"components": [1, 0, 0, 0], "params": "1,1,1"}]}
+    out = io.StringIO()
+    _emit(execute_request(request)[0], out)
+    assert out.getvalue() == '{"status":"ok","result":{"quat":[1.0,2.0,3.0,4.0]}}\n'
 
 
 def test_batch_unreadable_file():
@@ -713,6 +730,26 @@ def test_an_integer_too_long_to_print_keeps_its_sites_message(request_, prefix):
     assert (code, response["code"]) == (2, "bad_request")
     assert response["message"].startswith(prefix)
     assert "Exceeds the limit" not in response["message"]
+
+
+@pytest.mark.parametrize("request_,prefix,length", [
+    ({"op": "norm", "operands": [["x" * 100_000, 0, 0, 0]]}, "bad quaternion ", 200_067),
+    ({"op": "norm", "operands": [[0] * 100_000]}, "expected a quaternion ", 300_042),
+    ({"op": "x" * 100_000}, "unknown operation 'xxx", 100_020),
+    ({"params": "x" * 100_000, "op": "norm"}, "unknown family 'xxx", 100_017),
+    ({"op": "roots", "operands": [[1, 0, 0, 0]], "options": {"n": 10**4299}},
+     "root degree must be <= 1024, got 1000", 4_333),
+])
+def test_a_long_error_message_keeps_a_prefix_and_its_length(tmp_path, request_, prefix, length):
+    # Every error message is cut at one place, however long the value it echoes.
+    path = tmp_path / "long.ndjson"
+    path.write_text(json.dumps({"params": "hamilton", **request_}) + "\n")
+    code, out, err = run(["batch", str(path)])
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and len(out) < 1_200
+    message = json.loads(out)["message"]
+    assert message.startswith(prefix)
+    assert message[cli._MESSAGE_MAX:] == f"... ({length:,} characters)"
 
 
 _NORM_LINE = b'{"params": "hamilton", "op": "norm", "operands": [[%d, 0, 0, 0]]}'

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import operator
 import pickle
 import re
 
@@ -143,6 +144,10 @@ def test_basis_and_its_index_range(cls):
     for i in (first - 1, 4):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got {i}$"):
             cls.basis(i, H)
+    # str() of an int past 4,300 digits raises its own ValueError.
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got an integer of more "
+                                         "than 4,300 digits$"):
+        cls.basis(10**5000, H)
 
 
 @pytest.mark.parametrize("cls", KINDS)
@@ -174,6 +179,18 @@ def test_componentwise_ops_refuse_mixed_triples(cls):
     for op in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: y - x):
         with pytest.raises(ParamMismatch):
             op()
+
+
+def test_equal_triples_that_are_distinct_objects_are_one_algebra():
+    # Operands share an algebra when their triples are equal, not only when they are one object.
+    twin = ParamTriple(1, 1, 1)
+    assert twin == H and twin is not H
+    p, q, q_h = GQuat(1, 2, 3, 4, H), GQuat(1, 0, 0, 0, twin), GQuat(1, 0, 0, 0, H)
+    for op in (operator.mul, operator.add, operator.sub, GQuat.dot):
+        assert op(p, q) == op(p, q_h) and op(q, p) == op(q_h, p)
+    u, v, v_h = GVec3(1, 2, 3, H), GVec3(0.5, -1, 2, twin), GVec3(0.5, -1, 2, H)
+    for op in (wedge, bilinear_f):
+        assert op(u, v) == op(u, v_h) and op(v, u) == op(v_h, u)
 
 
 @pytest.mark.parametrize("cls", KINDS)

@@ -364,6 +364,8 @@ def test_compactness_criterion(rng):
     assert is_compact(ParamTriple(1.0, 2.0, 3.0))
     assert not is_compact(family("split"))
     assert not is_compact(family("quarter"))
+    # one zero parameter is enough, wherever it sits
+    assert not any(is_compact(ParamTriple(*lam)) for lam in ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
     # compact families have negative Killing self-pairing on nonzero vectors
     for params in POSITIVE_FAMILIES:
         for _ in range(10):

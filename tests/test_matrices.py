@@ -332,8 +332,9 @@ def test_overflowing_eigen_data_is_non_finite(params):
 # --- matrix container behavior --------------------------------------------------------------
 
 def test_mat4_validates_shape_and_finiteness():
-    with pytest.raises(ValueError):
-        Mat4(np.eye(3))
+    for rows in (np.eye(3), [[1, 0, 0, 0]] * 3, [[1, 0, 0]] * 4):
+        with pytest.raises(ValueError):
+            Mat4(rows)
     bad = np.eye(4)
     bad[0, 0] = np.inf
     with pytest.raises(ValueError):

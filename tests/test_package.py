@@ -119,7 +119,8 @@ def test_readme_family_table_is_the_code():
 
 
 def test_readme_gate_values_are_the_code():
-    # The fixed values of the unit gates, the period test and the root degree are the contract.
+    # The fixed values of the unit gates, the period test, the root degree and the message
+    # bound are the contract.
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     conventions = text.partition("## Conventions and tolerances")[2].partition(" ## ")[0]
     tols = re.findall(r"([\d.e+-]+)` \(`polar\.(\w+_TOL)\b", conventions)
@@ -128,6 +129,18 @@ def test_readme_gate_values_are_the_code():
         ("UNIT_NORM_TOL", polar.UNIT_NORM_TOL)]
     degree = re.search(r"`roots` runs from 1 to `polar\.MAX_ROOT_DEGREE` \((\d+)\)", text)
     assert int(degree.group(1)) == polar.MAX_ROOT_DEGREE
+    bound = re.search(r"past ([\d,]+) characters \(`cli\._MESSAGE_MAX`\)", text)
+    assert int(bound.group(1).replace(",", "")) == cli._MESSAGE_MAX
+
+
+def test_readme_result_tags_are_the_op_tags():
+    # README's "Responses" paragraph is the one list of tags: cli._ENCODE names only the
+    # tags whose value it reshapes, so a misspelt tag in the op table shows only here.
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    tags = text.partition("the result carries exactly one tag:")[2].partition(" `degree` is")[0]
+    listed = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", tags))
+    assert sorted(listed) == sorted({op.tag for op in cli.OPS.values()})
+    assert set(cli._ENCODE) < set(listed)
 
 
 def test_usage_family_list_is_the_code():

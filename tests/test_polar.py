@@ -362,6 +362,28 @@ def test_roots_validate_input():
     for huge in (10**5000, -10**5000):
         with pytest.raises(ValueError, match="^root degree must be"):
             matrix_roots(GQuat(0.6, 0.8, 0.0, 0.0, H), huge)
+    # Every digit up to 4,300 of them is printed.
+    unit = GQuat(0.6, 0.8, 0.0, 0.0, H)
+    with pytest.raises(ValueError) as info:
+        matrix_roots(unit, 10**4300 - 1)
+    assert str(info.value) == f"root degree must be <= {MAX_ROOT_DEGREE}, got {'9' * 4300}"
+    with pytest.raises(ValueError) as info:
+        matrix_roots(unit, 10**4300)
+    assert str(info.value) == (f"root degree must be <= {MAX_ROOT_DEGREE}, "
+                               "got an integer of more than 4,300 digits")
+
+
+@pytest.mark.parametrize("params", POSITIVE_FAMILIES)
+def test_root_k_is_at_angle_theta_plus_k_turns_over_n(rng, params):
+    # Checked within a tolerance, with no pinned bytes, so it holds on any libm.
+    p = random_unit_elliptic(rng, params)
+    form = to_polar(p)
+    for n in (3, 5, 8):
+        for k, root in enumerate(matrix_roots(p, n)):
+            angle = (form.theta + 2 * math.pi * k) / n
+            assert math.isclose(root[0][0], math.cos(angle), rel_tol=0, abs_tol=1e-12)
+            assert np.allclose(as_array(root), as_array(polar_matrix(form.axis, angle)),
+                               rtol=0, atol=1e-12)
 
 
 # --- periodicity ------------------------------------------------------------------------
@@ -393,6 +415,18 @@ def test_period_respects_matrix_powers(rng):
     a = as_array(matrix_pow(p, 7))
     b = as_array(matrix_pow(p, 7 + m))
     assert np.allclose(a, b, rtol=0, atol=1e-8)
+
+
+def _turn(theta):
+    return GQuat(math.cos(theta), math.sin(theta), 0.0, 0.0, H)
+
+
+def test_period_gate_at_a_half_turn_and_at_its_relative_tolerance():
+    # Just short of a half turn: 2*pi/theta is just above 2, the smallest period.
+    assert power_period(_turn(math.pi - 1e-10)) == 2
+    # 2*pi/theta = 1000 / (1 + offset); the gate takes it within PERIOD_REL_TOL * 1000 = 1e-6.
+    for offset, period in ((5e-10, 1000), (-5e-10, 1000), (2e-9, None), (-2e-9, None)):
+        assert power_period(_turn(2 * math.pi / 1000 * (1 + offset))) == period, offset
 
 
 def test_period_requires_unit_elliptic():
@@ -433,6 +467,8 @@ def test_scaled_power_error_paths(rng):
         scaled_power_relation(no_period, 3, 1)
     with pytest.raises(CongruenceViolation):
         scaled_power_relation(P_THIRD, 4, 2)  # period 3, 4 != 2 (mod 3)
+    with pytest.raises(CongruenceViolation, match=r"^n - s = 3 != 0 \(mod 4\)$"):
+        scaled_power_relation(GQuat(0.0, 1.0, 0.0, 0.0, H), 4, 1)  # a quarter turn
     with pytest.raises(NonElliptic):
         scaled_power_relation(GQuat.scalar(2.0, H), 3, 1)
     with pytest.raises(NonFinite):
