@@ -103,8 +103,10 @@ def _parse_params(value: object) -> ParamTriple:
     raise RequestError(f"cannot interpret params {_show(value)}")
 
 
-def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple], object]:
-    """The coercer of one operand kind: a literal of ``size`` components -> a ``cls``."""
+def _coercer(cls: type, what: str) -> Callable[[object, ParamTriple], object]:
+    """The coercer of one operand kind: a literal of ``cls``'s components -> a ``cls``."""
+    size = len(cls._FIELDS)
+
     def coerce(value, params):
         # The list form, the one batch requests use, goes first.  An operand may also carry
         # its own triple: "0,1,0,0@2,3,5" on the command line, {"components": ..., "params":
@@ -135,32 +137,29 @@ def _coercer(size: int, cls: type, what: str) -> Callable[[object, ParamTriple],
 
 
 def _scalar(value: object, params: ParamTriple) -> float:
-    number = None
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer past the float range
-            number = math.inf
-        except ValueError:  # text that is not a number
-            pass
-    if number is None:
-        raise RequestError(f"expected a number, got {_show(value)}")
-    # Rejected here like a non-finite quaternion component, not left to
+    # A non-finite number is refused here like a non-finite quaternion component, not left to
     # surface as a domain error of the operation.
-    if not math.isfinite(number):
-        raise RequestError(f"expected a finite number, got {_show(value)}")
-    return number
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
+        if math.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError):  # not a number, or text that is not one
+        raise RequestError(f"expected a number, got {_show(value)}") from None
+    except OverflowError:  # an integer past the float range
+        pass
+    raise RequestError(f"expected a finite number, got {_show(value)}")
 
 
 # Operand kind -> its coercer: (literal, the request's triple) -> library value.
-_COERCE = {"quat": _coercer(4, GQuat, "quaternion"), "vec": _coercer(3, GVec3, "vector"),
+_COERCE = {"quat": _coercer(GQuat, "quaternion"), "vec": _coercer(GVec3, "vector"),
            "scalar": _scalar}
 
 
 def _require_int_option(options: dict, key: str) -> int:
-    if key not in options or options[key] is None:
+    value = options.get(key)
+    if value is None:
         raise RequestError(f"operation needs option --{key}")
-    value = options[key]
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
             return int(value)
@@ -397,45 +396,44 @@ split-semi, quarter, 2param:l,m.  Batch files hold one JSON request per line.
 """
 
 
-def _parse_argv(argv: Sequence[str]) -> dict:
-    """Tiny hand-rolled argv walker.
+def _parse_argv(argv: Sequence[str]) -> tuple[dict, bool]:
+    """Tiny hand-rolled argv walker: the request a batch line would carry, and whether -h.
 
-    Not argparse: operand literals such as "-0.5,0.5,0.5,0.5" begin with a
-    dash and argparse would reject them as unknown options.  Grammar is
-    flags (each taking one value), then the op name, then operands, in any
-    interleaving.
+    Not argparse: operand literals such as "-0.5,0.5,0.5,0.5" begin with a dash and argparse
+    would reject them as unknown options.  Grammar is flags (each taking one value, the last
+    given winning), then the op name, then operands, in any interleaving.  The request holds
+    ``params`` and each option only if its flag is given.
     """
-    parsed: dict[str, object] = {**dict.fromkeys(_FLAGS.values()), "op": None, "operands": []}
-    i = 0
-    while i < len(argv):
-        token = argv[i]
+    request: dict = {"op": None, "operands": [], "options": {}}
+    wants_help = False
+    tokens = iter(argv)
+    for token in tokens:
         if token in ("-h", "--help"):
-            parsed["help"] = True
-            i += 1
-            continue
-        if token in _FLAGS:
-            if i + 1 >= len(argv):
+            wants_help = True
+        elif token in _FLAGS:
+            value = next(tokens, None)
+            if value is None:
                 raise RequestError(f"{token} needs a value")
-            parsed[_FLAGS[token]] = argv[i + 1]
-            i += 2
-            continue
-        if token.startswith("--"):
+            if token == "--params":
+                request["params"] = value
+            else:
+                request["options"][_FLAGS[token]] = _literal(value)
+        elif token.startswith("--"):
             raise RequestError(f"unknown option {token!r}")
-        if parsed["op"] is None:
-            parsed["op"] = token
+        elif request["op"] is None:
+            request["op"] = token
         else:
-            parsed["operands"].append(token)
-        i += 1
-    return parsed
+            request["operands"].append(token)
+    return request, wants_help
 
 
-def _literal(text: str | None) -> object:
+def _literal(text: str) -> object:
     # An option flag's value as a batch line would carry it: an int if the text is one, else
-    # a float, else the text itself (None for an absent flag), for execute_request to judge.
+    # a float, else the text itself, for execute_request to judge.
     for kind in (int, float):
         try:
             return kind(text)
-        except (TypeError, ValueError):
+        except ValueError:
             pass
     return text
 
@@ -447,37 +445,31 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
         argv = sys.argv[1:]
 
     try:
-        ns = _parse_argv(argv)
+        request, wants_help = _parse_argv(argv)
     except RequestError as exc:
         print(f"gq3: {exc}", file=err)
         print(_USAGE, file=err, end="")
         return EXIT_USAGE
 
-    if ns.get("help") or ns["op"] is None:
+    op = request["op"]
+    if wants_help or op is None:
         print(_USAGE, file=err, end="")
-        return EXIT_OK if ns.get("help") else EXIT_USAGE
+        return EXIT_OK if wants_help else EXIT_USAGE
 
-    if ns["op"] == "batch":
-        if any(ns[field] is not None for field in _FLAGS.values()):
+    if op == "batch":
+        if "params" in request or request["options"]:
             print("gq3: batch requests carry their own params and options; "
                   f"{'/'.join(_FLAGS)} not allowed", file=err)
             return EXIT_USAGE
-        if len(ns["operands"]) != 1:
+        if len(request["operands"]) != 1:
             print("gq3: batch needs exactly one file path", file=err)
             return EXIT_USAGE
-        return _run_batch(ns["operands"][0], stdin if stdin is not None else sys.stdin, out, err)
+        return _run_batch(*request["operands"], stdin if stdin is not None else sys.stdin, out, err)
 
-    if ns["op"] not in OPS:
-        print(f"gq3: unknown operation {ns['op']!r}; known: {', '.join(sorted(OPS))}", file=err)
+    if op not in OPS:
+        print(f"gq3: unknown operation {op!r}; known: {', '.join(sorted(OPS))}", file=err)
         return EXIT_USAGE
 
-    # The request a batch line would carry; None stands for an absent flag there too.
-    request = {
-        "params": ns["params"],
-        "op": ns["op"],
-        "operands": ns["operands"],
-        "options": {key: _literal(ns[key]) for key in ("n", "s")},
-    }
     response, code = execute_request(request)
     if code == EXIT_USAGE:
         # Malformed single-shot input: diagnostics on stderr, nothing on stdout.

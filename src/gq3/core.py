@@ -40,8 +40,12 @@ __all__ = [
 def _check_finite(names: tuple[str, ...], values: tuple, prefix: str) -> None:
     """Raise NonFinite on NaN or +-inf among ``values``, the new values of the fields ``names``."""
     for name, v in zip(names, values):
-        if not math.isfinite(v):
-            raise NonFinite(f"{prefix}{name} must be finite, got {v!r}")
+        try:
+            if math.isfinite(v):
+                continue
+        except OverflowError:  # an int past the float range
+            pass
+        raise NonFinite(f"{prefix}{name} must be finite, got {_show(v)}")
 
 
 def _vanishes(value: float, scale: float, what: str) -> bool:
@@ -273,7 +277,10 @@ class _Componentwise(_Record):
     __rmul__ = __mul__
 
     def scale(self, c: float):
-        return type(self)(*[c * x for x in self.components], self.params)
+        try:
+            return type(self)(*[c * x for x in self.components], self.params)
+        except OverflowError:  # c is an int past the float range
+            raise NonFinite(f"scale factor {_show(c)} must be finite") from None
 
     def __repr__(self) -> str:
         values = ", ".join(format(x, "g") for x in self.components)

@@ -19,7 +19,7 @@ from itertools import chain
 from operator import add, mul
 
 from .core import GQuat, ParamTriple, _Record, _bilinear_of, _dot, _finite, _vanishes
-from .errors import DegenerateAxis, NonFinite
+from .errors import DegenerateAxis, NonFinite, _show
 
 __all__ = [
     "Mat3",
@@ -82,6 +82,8 @@ def _float_rows(data, n: int, what: str) -> tuple[tuple[float, ...], ...]:
         rows = tuple([tuple(map(float, row)) for row in data])
     except TypeError as exc:
         raise ValueError(f"{what} needs {n} rows of {n} numbers: {exc}") from None
+    except OverflowError:  # an int past the float range
+        raise NonFinite(f"{what} entries must be finite, got {_show(data)}") from None
     if len(rows) != n or {len(row) for row in rows} != {n}:
         raise ValueError(f"{what} needs a {n}x{n} matrix, "
                          f"got rows of lengths {[len(row) for row in rows]}")

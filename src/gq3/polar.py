@@ -66,7 +66,10 @@ class PolarForm(_Record):
     def compose(self) -> GQuat:
         """The quaternion modulus*cos(theta) + modulus*sin(theta)*axis; NonFinite on overflow."""
         c, s = _cos_sin(self.theta)
-        m = float(self.modulus)  # a modulus of any real type; _of stores floats as given
+        try:
+            m = float(self.modulus)  # a modulus of any real type; _of stores floats as given
+        except OverflowError:  # an int past the float range
+            raise NonFinite(f"modulus {_show(self.modulus)} is not finite") from None
         if self.axis is None:
             return GQuat.scalar(m * c, self.params)
         return GQuat._of(_compose(m * c, m * s, self.axis.components), self.params)
@@ -135,11 +138,12 @@ def _compose(c, s, u):
 
 
 def _cos_sin(theta: float) -> tuple[float, float]:
-    # math raises a bare ValueError at +-inf; a NaN passes on to the value built from it.
+    # math raises a bare ValueError at +-inf and OverflowError at an int past the float range;
+    # a NaN passes on to the value built from it.
     try:
         return math.cos(theta), math.sin(theta)
-    except ValueError:
-        raise NonFinite(f"angle {theta} is not finite") from None
+    except (ValueError, OverflowError):
+        raise NonFinite(f"angle {_show(theta)} is not finite") from None
 
 
 def _require_int(n) -> None:

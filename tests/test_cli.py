@@ -445,6 +445,33 @@ def test_help_with_an_op_and_a_bare_call_print_the_usage(argv, exit_code):
     assert run(argv) == (exit_code, "", cli._USAGE)
 
 
+def test_a_flag_without_its_value_prints_the_usage():
+    assert run(["--params", "hamilton", "pow", "-0.5,0.5,0.5,0.5", "--n"]) == (
+        2, "", "gq3: --n needs a value\n" + cli._USAGE)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--params", "hamilton", "pow", "-0.5,0.5,0.5,0.5", "--n", "--s"],
+     "option --n must be an integer, got '--s'"),
+    (["--params", "--n", "norm", "1,0,0,0"], "unknown family '--n'"),
+])
+def test_a_flag_value_that_begins_with_two_dashes_is_taken_as_is(argv, message):
+    assert run(argv) == (2, "", f"gq3: {message}\n")
+
+
+def test_the_last_value_of_a_repeated_flag_wins():
+    twice = run(["--params", "split", "--n", "2", "pow", "--params", "hamilton",
+                 "-0.5,0.5,0.5,0.5", "--n", "3"])
+    assert twice == run(["--params", "hamilton", "pow", "-0.5,0.5,0.5,0.5", "--n", "3"])
+    assert twice[0] == 0
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_among_the_operands_prints_the_usage(flag):
+    assert run(["--params", "hamilton", "mul", "1,0,0,0", flag, "0,1,0,0"]) == (
+        0, "", cli._USAGE)
+
+
 # --- batch mode ---------------------------------------------------------------------------
 
 def test_batch_empty_file(tmp_path):
@@ -657,6 +684,27 @@ def test_generator_writes_the_committed_responses(tmp_path):
     spec.loader.exec_module(generator)
     generator.main(tmp_path / "responses.ndjson")
     assert (tmp_path / "responses.ndjson").read_bytes() == CLI_RESPONSES.read_bytes()
+
+
+BATCH_DIGESTS = CLI_RESPONSES.with_name("batch_digests.json")
+
+
+def _digests(path: Path) -> dict[str, str]:
+    # "workload seed op" -> digest, so that a failure names the ops whose bytes moved.
+    table = json.loads(path.read_text(encoding="utf-8"))
+    return {f"{name} {seed} {op}": digest for name, seeds in table.items()
+            for seed, ops in seeds.items() for op, digest in ops.items()}
+
+
+def test_batch_answers_to_the_bench_workloads_match_the_committed_digests(tmp_path):
+    # tests/data/make_batch_digests.py hashes each op's gq3 batch lines per workload and seed.
+    spec = importlib.util.spec_from_file_location("make_batch_digests",
+                                                  BATCH_DIGESTS.with_name("make_batch_digests.py"))
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.main(tmp_path / "digests.json")
+    assert _digests(tmp_path / "digests.json") == _digests(BATCH_DIGESTS)
+    assert (tmp_path / "digests.json").read_bytes() == BATCH_DIGESTS.read_bytes()
 
 
 @pytest.mark.parametrize("params,rows", [

@@ -22,6 +22,7 @@ from gq3 import (
     GQuat,
     GVec3,
     Mat3,
+    Mat4,
     NonFinite,
     ParamTriple,
     PolarForm,
@@ -102,6 +103,29 @@ def test_non_finite_angle_raises_non_finite(compute, theta):
     # math.cos(inf) raises a bare ValueError("math domain error"); NaN passes through it.
     with pytest.raises(NonFinite):
         compute(GVec3(1.0, 0.0, 0.0, H), theta)
+
+
+@pytest.mark.parametrize("big", [10**400, 10**5000], ids=["past-float-range", "past-repr"])
+@pytest.mark.parametrize("compute", [
+    lambda big: ParamTriple(big, 1.0, 1.0),
+    lambda big: GQuat(big, 0.0, 0.0, 0.0, H),
+    lambda big: GVec3(big, 0.0, 0.0, H),
+    lambda big: Mat4([[big] * 4] * 4),
+    lambda big: det4([[big] * 4] * 4),
+    lambda big: euler_exp(GVec3(1.0, 0.0, 0.0, H), big),
+    lambda big: euler_exp_matrix(GVec3(1.0, 0.0, 0.0, H), big),
+    lambda big: polar_matrix(GVec3(1.0, 0.0, 0.0, H), big),
+    lambda big: adjoint_rodrigues(GVec3(1.0, 0.0, 0.0, H), big),
+    lambda big: PolarForm(big, 0.5, None, H).compose(),
+    lambda big: GQuat.scalar(1.0, H).scale(big),
+    lambda big: big * GQuat.scalar(1.0, H),
+], ids=["params", "quat", "vec", "mat4", "det4", "exp", "exp-matrix", "polar-matrix",
+        "rodrigues", "compose", "scale", "rmul"])
+def test_an_int_past_the_float_range_raises_non_finite(compute, big):
+    # Only a Python caller can pass one: the CLI's readers refuse it first.  Past 4,300
+    # digits repr raises, so the message must not be built with it either.
+    with pytest.raises(NonFinite):
+        compute(big)
 
 
 def test_congruence_violation_with_a_long_exponent_is_typed():

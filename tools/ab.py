@@ -22,6 +22,11 @@ median and quartiles in microseconds per line, the pairs the change won and the 
 of the per-pair change/parent ratios, per layer and workload; its last line is the same as
 one JSON object.  Both sides of a pair share the host's drift during the run, which widens
 each side's own quartiles; the ratios' quartiles leave it out.
+
+Caveat: ``main`` writes into a ``StringIO``, so it leaves out the ``write()`` system call that
+an unbuffered stdout makes per response line.  bench/run.py's children inherit their
+environment, and with ``PYTHONUNBUFFERED=1`` set there, every line of ``gq3 batch`` is one
+such call.  A change to the write path must therefore be timed on spawned processes, not here.
 """
 
 from __future__ import annotations
