@@ -15,8 +15,6 @@ stdout carries only JSON; diagnostics go to stderr.  Exit codes: 0 success,
 1 domain error or stdout closed early, 2 malformed input.
 """
 
-from __future__ import annotations
-
 import contextlib
 import json
 import math
@@ -39,6 +37,7 @@ EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE = 2
 _MESSAGE_MAX = 1024  # an error message past this many characters keeps them and its length
+_LINE_MAX = 1 << 20  # a batch line past this many bytes is answered bad_request, undecoded
 
 
 class RequestError(Exception):
@@ -358,7 +357,7 @@ def _emit(response: dict, out) -> None:
 
 def _run_batch(path: str, inp, out, err) -> int:
     # Lines are split at b"\n" and decoded one by one, so a bad byte costs only its
-    # line; a text stream passed as stdin (no .buffer) yields str lines.
+    # line; a text stream passed as stdin (no .buffer) yields str lines, bounded in characters.
     try:
         handle = (contextlib.nullcontext(getattr(inp, "buffer", inp)) if path == "-"
                   else open(path, "rb"))
@@ -366,8 +365,14 @@ def _run_batch(path: str, inp, out, err) -> int:
         print(f"gq3: cannot read batch file: {exc}", file=err)
         return EXIT_USAGE
 
-    with handle as lines:
-        for line in lines:
+    with handle as stream:
+        while line := stream.readline(_LINE_MAX + 1):
+            eol = b"\n" if isinstance(line, bytes) else "\n"
+            if len(line) > _LINE_MAX and not line.endswith(eol):
+                while (rest := stream.readline(_LINE_MAX)) and not rest.endswith(eol):
+                    pass
+                _emit(_error("bad_request", f"line longer than {_LINE_MAX:,} bytes"), out)
+                continue
             try:
                 line = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
                 if not line:

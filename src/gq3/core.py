@@ -18,8 +18,6 @@ norm may be zero or negative and genuine zero divisors exist.  Nothing in this
 module assumes positivity.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections.abc import Sequence
@@ -79,10 +77,9 @@ class _Record:
     imported only then: the dataclasses module costs a process more than all of gq3.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "__match_args__" in vars(cls):
-            cls._fields = property(operator.attrgetter(*cls.__match_args__))
+    @property
+    def _fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
 
     def _init_fields(self, *values) -> None:
         self.__dict__.update(zip(self.__match_args__, values))
@@ -215,9 +212,12 @@ class _Componentwise(_Record):
     def __init_subclass__(cls, **kwargs):
         cls.__match_args__ = (*cls._FIELDS, "params")
         super().__init_subclass__(**kwargs)
-        cls._fields = property(lambda self: (*self.components, self.params))
         for i, name in enumerate(cls._FIELDS):
             setattr(cls, name, property(lambda self, i=i: self.components[i]))
+
+    @property
+    def _fields(self) -> tuple:
+        return (*self.components, self.params)
 
     def _store(self, *comps) -> None:
         # The public constructors' check and copy; each subclass binds it as __post_init__ in
@@ -236,14 +236,6 @@ class _Componentwise(_Record):
         d = v.__dict__
         d["params"], d["components"] = params, comps
         return v
-
-    @classmethod
-    def from_components(cls, comps: Sequence[float], params: ParamTriple):
-        comps = tuple(comps)
-        if len(comps) != len(cls._FIELDS):
-            raise ValueError(f"{cls.__name__} takes {len(cls._FIELDS)} components, "
-                             f"got {len(comps)}")
-        return cls(*comps, params)
 
     @classmethod
     def basis(cls, i: int, params: ParamTriple):
@@ -302,9 +294,12 @@ class GQuat(_Componentwise):
 
     __post_init__ = _Componentwise._store
 
-    # _Componentwise's classmethod, bound in GQuat's own namespace too: the tracing
-    # check of bench/test_bench.py patches and restores it there.
-    from_components = vars(_Componentwise)["from_components"]
+    @classmethod
+    def from_components(cls, comps: Sequence[float], params: ParamTriple) -> "GQuat":
+        comps = tuple(comps)
+        if len(comps) != 4:
+            raise ValueError(f"GQuat takes 4 components, got {len(comps)}")
+        return cls(*comps, params)
 
     @classmethod
     def scalar(cls, c: float, params: ParamTriple) -> "GQuat":

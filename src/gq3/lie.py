@@ -14,8 +14,6 @@ elements, and the Killing form works out to -8 times the bilinear form, which
 is what makes the all-positive families compact.
 """
 
-from __future__ import annotations
-
 from .core import GQuat, GVec3, ParamTriple, _bilinear_of, _finite, wedge
 from .errors import NotPositiveFamily
 from .matrices import Mat3, _skew_rows

@@ -10,8 +10,6 @@ implemented here directly rather than through a general eigensolver.
 Complex numbers appear only in the eigen data; everything else is real.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from functools import reduce
@@ -163,14 +161,10 @@ def det4(m) -> float:
     the squared quaternion norm.
     """
     rows = m if isinstance(m, Mat4) else _float_rows(m, 4, "det4")
-    sign = 1.0
-    total = 0.0
-    cols = (0, 1, 2, 3)
-    for j in cols:
-        rest = tuple(c for c in cols if c != j)
-        total += sign * rows[0][j] * _det3(rows, *rest)
-        sign = -sign
-    return _finite(total)
+    r00, r01, r02, r03 = rows[0]
+    # The leading 0.0 makes a sum of zeros +0.0, whatever their signs.
+    return _finite(0.0 + r00 * _det3(rows, 1, 2, 3) - r01 * _det3(rows, 0, 2, 3)
+                   + r02 * _det3(rows, 0, 1, 3) - r03 * _det3(rows, 0, 1, 2))
 
 
 class CharPoly(_Record):

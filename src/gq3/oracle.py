@@ -5,8 +5,6 @@ term-by-term product, and on no kernel or method of the modules it checks.
 They are slow and that is fine; their only job is to catch transcription errors.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 

@@ -11,8 +11,6 @@ Angles follow a single convention everywhere: theta = atan2(sqrt(D), a0),
 which lands in [0, pi] and makes the round trip unambiguous.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 
@@ -252,9 +250,7 @@ def matrix_roots(p: GQuat, n: int) -> tuple[Mat4, ...]:
         raise ValueError(f"root degree must be {bound}, got {_show(n)}")
     form = _unit_polar(p)
     axis, theta = form.axis, form.theta
-    # theta + 2*pi*k already associated as theta + (2*pi)*k: hoisting 2*pi keeps every bit.
-    two_pi = 2.0 * math.pi
-    return tuple([polar_matrix(axis, (theta + two_pi * k) / n) for k in range(n)])
+    return tuple([polar_matrix(axis, (theta + math.tau * k) / n) for k in range(n)])
 
 
 def power_period(p: GQuat) -> int | None:
@@ -274,8 +270,11 @@ def scaled_power_relation(p: GQuat, n: int, s: int) -> GQuat:
     """Reduce p^n to modulus^(n-s) * p^s using the period of the unit part.
 
     Requires p/modulus to have a power period m, recognised within PERIOD_REL_TOL, and
-    n = s (mod m); returns modulus^(n-s) * p^s, which differs from De Moivre's p^n by an
-    amount that grows with |n - s|.  Raises NonFinite when a power of the modulus overflows.
+    n = s (mod m); returns modulus^(n-s) * p^s.  The gate lets m*theta miss 2*pi by up to
+    2*pi*PERIOD_REL_TOL and the reduction drops (n - s)/m such turns, so each component
+    differs from demoivre_pow(p, n) by at most modulus**n * max(1, max|axis_i|) *
+    (2*pi*|n - s|/m * PERIOD_REL_TOL + (|n| + |s| + 1)*theta*2**-52), the second term
+    the rounding of n*theta and s*theta.  NonFinite when a power of the modulus overflows.
     """
     _require_int(n)
     _require_int(s)

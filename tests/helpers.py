@@ -39,7 +39,7 @@ def random_quat(rng: np.random.Generator, params: ParamTriple, scale: float = 1.
 
 
 def random_vec(rng: np.random.Generator, params: ParamTriple, scale: float = 1.0) -> GVec3:
-    return GVec3.from_components(scale * rng.standard_normal(3), params)
+    return GVec3(*(scale * rng.standard_normal(3)), params)
 
 
 def random_unit_elliptic(rng: np.random.Generator, params: ParamTriple) -> GQuat:

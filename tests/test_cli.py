@@ -825,6 +825,38 @@ def test_batch_answers_an_unreadable_line_and_goes_on(tmp_path, source, name, ne
     assert middle["code"] == "bad_request" and middle["message"].startswith("invalid JSON: ")
 
 
+@pytest.mark.parametrize("length", [cli._LINE_MAX, cli._LINE_MAX + 1, 3 << 20])
+@pytest.mark.parametrize("source", ["path", "stdin", "text-stdin"])
+def test_a_batch_line_past_the_bound_is_answered_and_never_decoded(tmp_path, monkeypatch,
+                                                                   source, length):
+    # A norm request padded with spaces to ``length`` bytes: past cli._LINE_MAX it is refused
+    # for its length alone, and the next line is still answered; the file ends with it again,
+    # with no newline.  A text stream with no .buffer is bounded in characters.
+    padded = (_NORM_LINE % 5)[:-1] + b" " * (length - len(_NORM_LINE % 5)) + b"}"
+    data = b"\n".join([_NORM_LINE % 2, padded, _NORM_LINE % 3, padded])
+    path = tmp_path / "requests.ndjson"
+    path.write_bytes(data)
+    decoded, loads = [], json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: decoded.append(len(text)) or loads(text))
+    out, err = io.StringIO(), io.StringIO()
+    if source == "path":
+        code = main(["batch", str(path)], stdout=out, stderr=err)
+    else:
+        stdin = io.BytesIO(data) if source == "stdin" else io.StringIO(data.decode())
+        code = main(["batch", "-"], stdin=stdin, stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    longest = max(decoded)
+    first, middle, last, final = (json.loads(line) for line in out.getvalue().splitlines())
+    assert first["result"] == {"scalar": 4.0} and last["result"] == {"scalar": 9.0}
+    assert final == middle
+    if length > cli._LINE_MAX:
+        assert middle == {"status": "error", "code": "bad_request",
+                          "message": f"line longer than {cli._LINE_MAX:,} bytes"}
+        assert longest == len(_NORM_LINE % 2)
+    else:
+        assert middle["result"] == {"scalar": 25.0} and longest == length
+
+
 def test_registry_is_well_formed():
     for name, op in OPS.items():
         assert name == name.lower()

@@ -1,6 +1,7 @@
 """Left/right matrix representations, base matrices, determinant, spectrum."""
 
 import copy
+import itertools
 import json
 import math
 import pickle
@@ -28,7 +29,7 @@ from gq3 import (
 )
 from gq3.lie import (ad_matrix, adjoint_closed_form, adjoint_group, adjoint_rodrigues,
                      is_compact, skew_of_axis)
-from gq3.matrices import _TaggedMatrix
+from gq3.matrices import _TaggedMatrix, _det3, _float_rows
 from gq3.polar import euler_exp_matrix, matrix_pow, matrix_roots, polar_matrix
 from helpers import FAMILIES, as_array, random_quat, random_vec, rel_close
 
@@ -172,6 +173,32 @@ def test_det_is_squared_norm(rng, params):
         p = random_quat(rng, params)
         expect = p.norm() ** 2
         assert rel_close(det4(left_matrix(p)), expect, 1e-9)
+
+
+def _cofactor_loop(rows) -> float:
+    # det4's expansion along the first row as a loop over alternating signs, from 0.0.
+    total = 0.0
+    for j in range(4):
+        total += (-1.0) ** j * rows[0][j] * _det3(rows, *(c for c in range(4) if c != j))
+    return total
+
+
+def test_det4_is_the_cofactor_sum_bit_for_bit(rng):
+    zero = [[0.0] * 4 for _ in range(4)]
+    assert math.copysign(1.0, det4(zero)) == 1.0
+    rest = rng.standard_normal((3, 4)).tolist()
+    for signs in itertools.product((0.0, -0.0), repeat=4):  # four terms, zeros of any sign
+        assert math.copysign(1.0, det4([list(signs), *rest])) == 1.0, signs
+    for spread in (0, 3, 160) * 700:  # exponents within +-spread; 160 overflows often
+        m = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-spread, spread + 1, (4, 4))
+        m[rng.random((4, 4)) < 0.2] *= 0.0  # zeros of both signs
+        rows = _float_rows(m, 4, "m")
+        expect = _cofactor_loop(rows)
+        if math.isfinite(expect):
+            assert det4(m).hex() == expect.hex()
+        else:
+            with pytest.raises(NonFinite):
+                det4(m)
 
 
 def test_det4_rejects_wrong_shape():

@@ -120,7 +120,7 @@ def test_readme_family_table_is_the_code():
 
 def test_readme_gate_values_are_the_code():
     # The fixed values of the unit gates, the period test, the root degree and the message
-    # bound are the contract.
+    # and batch line bounds are the contract.
     text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     conventions = text.partition("## Conventions and tolerances")[2].partition(" ## ")[0]
     tols = re.findall(r"([\d.e+-]+)` \(`polar\.(\w+_TOL)\b", conventions)
@@ -131,6 +131,15 @@ def test_readme_gate_values_are_the_code():
     assert int(degree.group(1)) == polar.MAX_ROOT_DEGREE
     bound = re.search(r"past ([\d,]+) characters \(`cli\._MESSAGE_MAX`\)", text)
     assert int(bound.group(1).replace(",", "")) == cli._MESSAGE_MAX
+    line = re.search(r"more than ([\d,]+) bytes before its `\\n` \(`cli\._LINE_MAX`\)", text)
+    assert int(line.group(1).replace(",", "")) == cli._LINE_MAX
+
+
+def test_readme_counts_the_committed_cli_responses():
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    count = re.search(r"`tests/data/cli_responses\.ndjson` holds ([\d,]+) seeded", text)
+    path = ROOT / "tests" / "data" / "cli_responses.ndjson"
+    assert int(count.group(1).replace(",", "")) == len(path.read_bytes().splitlines())
 
 
 def test_readme_result_tags_are_the_op_tags():

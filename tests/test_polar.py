@@ -14,6 +14,7 @@ from gq3 import (
     NonElliptic,
     NonFinite,
     NonUnit,
+    PERIOD_REL_TOL,
     NotUnitVector,
     ParamTriple,
     ZeroNorm,
@@ -458,6 +459,26 @@ def test_scaled_power_identity_when_exponents_match(rng):
     p = euler_exp(v, 2 * math.pi / 5).scale(1.5)
     got = scaled_power_relation(p, 3, 3)
     assert quat_close(got, demoivre_pow(p, 3), 1e-8)
+
+
+@pytest.mark.parametrize("params, comps, m", [
+    (H, (0.5, 0.8660254038, 0.0, 0.0), 6),
+    (family("split"), (0.3090169944, 1.188820645, 0.7132923872, 0.0), 5),
+    (family("2param", 2, 3), (0.7071067812, 0.5, 0.0, 0.0), 8),
+], ids=["hamilton", "split", "2param:2,3"])
+def test_scaled_power_keeps_its_stated_distance_from_de_moivre(params, comps, m):
+    # The bound of scaled_power_relation's docstring and README "Conventions and tolerances":
+    # the gate lets m*theta miss 2*pi by 2*pi*PERIOD_REL_TOL, and (n - s)/m turns are dropped.
+    p = GQuat(*comps, params)
+    form = to_polar(p)
+    assert power_period(p) == m
+    for s in (-3, 1, 5):
+        for n in (s + 10**6 * m, s - 10**6 * m, s + 1_000_003 * m):
+            bound = form.modulus ** n * max(1.0, *map(abs, form.axis.components)) * (
+                2 * math.pi * abs(n - s) / m * PERIOD_REL_TOL
+                + (abs(n) + abs(s) + 1) * form.theta * 2.0 ** -52)
+            got, want = scaled_power_relation(p, n, s), demoivre_pow(p, n)
+            assert max(abs(a - b) for a, b in zip(got.components, want.components)) <= bound
 
 
 def test_scaled_power_error_paths(rng):
