@@ -277,11 +277,17 @@ OPS: dict[str, OpSpec] = {
 
 
 def _error(code: str, message: Exception | str) -> dict:
-    # Every error response is built here, so every message is bounded here.
+    # Every error response and stderr diagnostic is built here, so every message is bounded here.
     text = str(message)
     if len(text) > _MESSAGE_MAX:
         text = f"{text[:_MESSAGE_MAX]}... ({len(text):,} characters)"
     return {"status": "error", "code": code, "message": text}
+
+
+def _fail(err, message: Exception | str, usage: str = "") -> int:
+    # A diagnostic of malformed argv or an unreadable batch file, then ``usage``, on stderr.
+    print(f"gq3: {_error('bad_request', message)['message']}\n{usage}", end="", file=err)
+    return EXIT_USAGE
 
 
 def execute_request(request: dict) -> tuple[dict, int]:
@@ -362,8 +368,7 @@ def _run_batch(path: str, inp, out, err) -> int:
         handle = (contextlib.nullcontext(getattr(inp, "buffer", inp)) if path == "-"
                   else open(path, "rb"))
     except OSError as exc:
-        print(f"gq3: cannot read batch file: {exc}", file=err)
-        return EXIT_USAGE
+        return _fail(err, f"cannot read batch file: {exc}")
 
     with handle as stream:
         while line := stream.readline(_LINE_MAX + 1):
@@ -398,7 +403,8 @@ usage: gq3 --params L1,L2,L3|NAME OP [OPERANDS...] [--n N] [--s S]
 Operands are comma-separated literals: quaternions "a0,a1,a2,a3", vectors
 "a1,a2,a3", plain numbers for scalars.  Families: hamilton, split, semi,
 split-semi, quarter, 2param:l,m.  Batch files hold one JSON request per line.
-"""
+Operations:
+""" + "".join(f"  {' '.join([*OPS][i:i + 6])}\n" for i in range(0, len(OPS), 6))
 
 
 def _parse_argv(argv: Sequence[str]) -> tuple[dict, bool]:
@@ -424,7 +430,7 @@ def _parse_argv(argv: Sequence[str]) -> tuple[dict, bool]:
             else:
                 request["options"][_FLAGS[token]] = _literal(value)
         elif token.startswith("--"):
-            raise RequestError(f"unknown option {token!r}")
+            raise RequestError(f"unknown option {_show(token)}")
         elif request["op"] is None:
             request["op"] = token
         else:
@@ -446,15 +452,12 @@ def _literal(text: str) -> object:
 def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = argv if argv is not None else sys.argv[1:]
 
     try:
         request, wants_help = _parse_argv(argv)
     except RequestError as exc:
-        print(f"gq3: {exc}", file=err)
-        print(_USAGE, file=err, end="")
-        return EXIT_USAGE
+        return _fail(err, exc, _USAGE)
 
     op = request["op"]
     if wants_help or op is None:
@@ -463,17 +466,11 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
 
     if op == "batch":
         if "params" in request or request["options"]:
-            print("gq3: batch requests carry their own params and options; "
-                  f"{'/'.join(_FLAGS)} not allowed", file=err)
-            return EXIT_USAGE
+            return _fail(err, "batch requests carry their own params and options; "
+                         f"{'/'.join(_FLAGS)} not allowed")
         if len(request["operands"]) != 1:
-            print("gq3: batch needs exactly one file path", file=err)
-            return EXIT_USAGE
+            return _fail(err, "batch needs exactly one file path")
         return _run_batch(*request["operands"], stdin if stdin is not None else sys.stdin, out, err)
-
-    if op not in OPS:
-        print(f"gq3: unknown operation {op!r}; known: {', '.join(sorted(OPS))}", file=err)
-        return EXIT_USAGE
 
     response, code = execute_request(request)
     if code == EXIT_USAGE:

@@ -187,9 +187,9 @@ def family(name: str, *args: float) -> ParamTriple:
     try:
         lam = _FAMILIES[key]
     except KeyError:
-        raise ValueError(f"unknown family {name!r}") from None
+        raise ValueError(f"unknown family {_show(name)}") from None
     if args:
-        raise ValueError(f"family {name!r} takes no parameters")
+        raise ValueError(f"family {_show(name)} takes no parameters")
     return ParamTriple(*lam)
 
 

@@ -16,7 +16,7 @@ is what makes the all-positive families compact.
 
 from .core import GQuat, GVec3, ParamTriple, _bilinear_of, _finite, wedge
 from .errors import NotPositiveFamily
-from .matrices import Mat3, _skew_rows
+from .matrices import Mat3, _matmul_rows, _skew_rows
 from .polar import _cos_sin, _require_unit_axis
 
 __all__ = [
@@ -131,12 +131,11 @@ def adjoint_rodrigues(axis: GVec3, theta: float) -> Mat3:
 
 
 def _rodrigues_rows(lam, u, st, ct):
-    # Kernel (see core): rows of (I + st*S) + ct*S@S for the skew S of u, in that order and
-    # with S@S summed from 0.0 as @ sums it: another order changes the last bits.
+    # Kernel (see core): rows of (I + st*S) + ct*S@S for the skew S of u, in that order.
     s = _skew_rows(lam, u)
-    return tuple([tuple([float(i == j) + st * s[i][j] + ct * (
-        0.0 + s[i][0] * s[0][j] + s[i][1] * s[1][j] + s[i][2] * s[2][j]) for j in range(3)])
-        for i in range(3)])
+    ss = _matmul_rows(s, s)
+    return tuple([tuple([float(i == j) + st * s[i][j] + ct * ss[i][j] for j in range(3)])
+                  for i in range(3)])
 
 
 def ad_matrix(x: GVec3) -> Mat3:

@@ -69,9 +69,7 @@ class _TaggedMatrix(tuple):
     def __matmul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        cols = tuple(zip(*other))
-        return self._of_rows(
-            tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in cols]) for row in self]))
+        return self._of_rows(_matmul_rows(self, other))
 
 
 def _float_rows(data, n: int, what: str) -> tuple[tuple[float, ...], ...]:
@@ -112,6 +110,12 @@ def right_matrix(p: GQuat) -> Mat4:
     matrix (left and right multiplications always commute).
     """
     return Mat4._of_rows(_mult_rows(p.params._lam, p.components, -1))
+
+
+def _matmul_rows(a, b):
+    # Kernel (see core): rows of a @ b, each entry summed left to right from 0.0.
+    cols = tuple(zip(*b))
+    return tuple([tuple([reduce(add, map(mul, row, col), 0.0) for col in cols]) for row in a])
 
 
 def _skew_rows(lam, s):

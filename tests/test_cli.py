@@ -437,6 +437,10 @@ def test_help_is_available():
     assert out == ""
 
 
+def test_help_names_every_op():
+    assert run(["--help"])[2].partition("\nOperations:\n")[2].split() == list(OPS)
+
+
 @pytest.mark.parametrize("argv,exit_code", [
     (["--help", "mul"], 0),  # help wins over an op
     ([], 2),                 # no op at all
@@ -464,6 +468,32 @@ def test_the_last_value_of_a_repeated_flag_wins():
                  "-0.5,0.5,0.5,0.5", "--n", "3"])
     assert twice == run(["--params", "hamilton", "pow", "-0.5,0.5,0.5,0.5", "--n", "3"])
     assert twice[0] == 0
+
+
+@pytest.mark.parametrize("op", ["mull", "x" * 100_000], ids=["mull", "100000-characters"])
+def test_single_shot_answers_an_unknown_op_as_batch_does(op):
+    request = {"params": "hamilton", "op": op, "operands": [[1, 0, 0, 0]]}
+    response, code = execute_request(request)
+    assert (code, response["code"]) == (2, "bad_request")
+    assert run(["--params", "hamilton", op, "1,0,0,0"]) == (2, "", f"gq3: {response['message']}\n")
+
+
+@pytest.mark.parametrize("argv,message,usage", [
+    (["--params", "hamilton", "x" * 100_000, "1,0,0,0"], "unknown operation 'xxx", False),
+    (["--params", "hamilton", "norm", "--" + "x" * 99_998, "1,0,0,0"], "unknown option '--xxx",
+     True),
+    (["--params", "x" * 100_000, "norm", "1,0,0,0"], "unknown family 'xxx", False),
+    (["batch", "x" * 100_000], "cannot read batch file: ", False),
+])
+def test_every_stderr_line_is_bounded(argv, message, usage):
+    # A diagnostic echoing a long argv token keeps the first _MESSAGE_MAX characters of its
+    # message, then the message's full length, as a batch error response does.
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    first, *rest = err.splitlines()
+    assert first.startswith(f"gq3: {message}")
+    assert re.fullmatch(r"\.\.\. \(\d{3},\d{3} characters\)", first[5 + cli._MESSAGE_MAX:])
+    assert rest == (cli._USAGE.splitlines() if usage else [])
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])

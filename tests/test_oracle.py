@@ -101,6 +101,15 @@ def test_conjugation_rejects_null():
         conjugation_columns(GQuat(1e200, 0.0, 0.0, 0.0, H))
 
 
+def test_conjugation_refuses_a_scalar_residue():
+    # Over a triple spanning 200 decades, the scalar part of some p * e_j * p^-1, zero in exact
+    # arithmetic, comes out 1024.0 in doubles.  Only + - * / run, so it does not depend on libm.
+    p = GQuat(-16861620.66382751, 0.0, -2.283193938306215e-12, 1.5085360885969274e-12,
+              ParamTriple(1e100, 1e-100, 1.0))
+    with pytest.raises(ArithmeticError, match="scalar residue 1024.0;"):
+        conjugation_columns(p)
+
+
 # The kernels and methods the oracle routes are compared against.
 CHECKED = [(core, "_product"), (core, "_wedge"), (core, "_dot"), (core, "_bilinear"),
            (core, "_conj"), (matrices, "_mult_rows"), (matrices, "_skew_rows"),

@@ -71,6 +71,18 @@ def test_version_is_stated_once():
     assert read_configuration(path)["project"]["version"] == gq3.__version__
 
 
+def test_every_module_parses_at_the_oldest_supported_python():
+    # pyproject.toml's requires-python is the oldest grammar src may use.  feature_version
+    # refuses the newer syntax this interpreter's parser knows, such as except* or def f[T].
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    major, minor = map(int, re.fullmatch(r">=(\d+)\.(\d+)",
+                                         floor["project"]["requires-python"]).groups())
+    paths = sorted((SRC / "gq3").glob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
+
+
 def _readme_tour() -> list[tuple[str, str | None]]:
     """(code, commented result or None) of each line of the README's Python block."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
