@@ -191,8 +191,8 @@ _ENCODE: dict[str, Callable[[object], object]] = {
     # two conjugate values, each of algebraic multiplicity two
     "complex_pair": lambda pair: [_complex(z) for z in pair],
     "eigenvectors": lambda pairs: [
-        {"value": _complex(e.value), "vector": [_complex(z) for z in e.vector]}
-        for e in pairs
+        {"value": _complex(value), "vector": [_complex(z) for z in vector]}
+        for value, vector in pairs
     ],
     "char_poly": lambda cp: {"coefficients": cp.coefficients, "quadratic": cp.quadratic},
 }

@@ -23,7 +23,6 @@ __all__ = [
     "Mat3",
     "Mat4",
     "CharPoly",
-    "EigenPair",
     "left_matrix",
     "right_matrix",
     "base_matrices",
@@ -210,19 +209,6 @@ def _char_coefficients(b, c):
     return (c * c, 2.0 * b * c, b * b + 2.0 * c, 2.0 * b, 1.0)
 
 
-class EigenPair(_Record):
-    """One eigenvalue of a left-multiplication matrix with one of its eigenvectors.
-
-    Each eigenvalue has multiplicity two, so ``eigenvectors`` gives two pairs
-    with the same ``value``.
-    """
-
-    __match_args__ = ("value", "vector")
-
-    def __init__(self, value: complex, vector: tuple[complex, complex, complex, complex]):
-        self._init_fields(value, vector)
-
-
 def eigenvalues(p: GQuat) -> tuple[complex, complex]:
     """The two eigenvalues a0 + sqrt(-D) and a0 - sqrt(-D) of left_matrix(p).
 
@@ -235,11 +221,11 @@ def eigenvalues(p: GQuat) -> tuple[complex, complex]:
     return _eigen_of(p)[:2]
 
 
-def eigenvectors(p: GQuat) -> list[EigenPair]:
-    """The four closed-form eigenvectors of left_matrix(p).
+def eigenvectors(p: GQuat) -> tuple[tuple[complex, tuple[complex, ...]], ...]:
+    """The four closed-form eigenvectors of left_matrix(p), as (value, vector) pairs.
 
-    Two vectors (patterns ending in (1, 0) and (0, 1)) belong to each
-    eigenvalue.  The closed forms share the denominator
+    Two vectors (patterns ending in (1, 0) and (0, 1)) belong to each eigenvalue, in
+    the order of eigenvalues(p): t+, t+, t-, t-.  The closed forms share the denominator
     lambda1*a2^2 + lambda2*a3^2; when that vanishes no formula applies and
     DegenerateAxis is raised.  NonFinite is raised when it, D or an entry overflows.
     """
@@ -252,8 +238,8 @@ def eigenvectors(p: GQuat) -> list[EigenPair]:
     if not all(map(cmath.isfinite, chain.from_iterable(heads))):
         raise NonFinite(f"eigenvector entries overflow over the denominator {den}")
     tails = ((1.0 + 0j, 0j), (0j, 1.0 + 0j)) * 2
-    return [EigenPair(t, (*head, *tail))
-            for t, head, tail in zip((t_plus, t_plus, t_minus, t_minus), heads, tails)]
+    return tuple((t, (*head, *tail))
+                 for t, head, tail in zip((t_plus, t_plus, t_minus, t_minus), heads, tails))
 
 
 def _eigen_of(p: GQuat):

@@ -33,7 +33,7 @@ OUT = Path(__file__).with_name("batch_digests.json")
 _spec = importlib.util.spec_from_file_location("diff_parent", ROOT / "tools" / "diff_parent.py")
 diff_parent = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(diff_parent)
-workloads = diff_parent._load("workloads", ROOT / "bench" / "workloads.py")
+workloads = diff_parent.workloads
 ANGLE_OPS = diff_parent._load("make_cli_responses",
                               Path(__file__).with_name("make_cli_responses.py")).ANGLE_OPS
 

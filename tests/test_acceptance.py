@@ -169,9 +169,9 @@ def test_criterion_4_determinant_and_spectrum(rng):
             except DegenerateAxis:
                 continue  # closed forms are undefined on the degenerate set
             m = as_array(left_matrix(p)).astype(complex)
-            for pair in pairs:
-                v = np.array(pair.vector)
-                assert np.linalg.norm(m @ v - pair.value * v) <= 1e-8 * np.linalg.norm(v)
+            for value, vector in pairs:
+                v = np.array(vector)
+                assert np.linalg.norm(m @ v - value * v) <= 1e-8 * np.linalg.norm(v)
 
 
 def test_criterion_5_demoivre_vs_repetition(rng):

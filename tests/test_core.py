@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from gq3 import (
     CharPoly,
-    EigenPair,
     GQuat,
     GVec3,
     NonFinite,
@@ -226,9 +225,6 @@ RECORDS = [
     (H, dict(lambda1=1.0, lambda2=1.0, lambda3=1.0)),
     (CharPoly((4.0, 3.0, 2.0, 1.0, 1.0), (1.0, 0.5, 1.0)),
      dict(coefficients=(4.0, 3.0, 2.0, 1.0, 1.0), quadratic=(1.0, 0.5, 1.0))),
-    (EigenPair(1j, (1j, 0j, 1 + 0j, 0j)), dict(value=1j, vector=(1j, 0j, 1 + 0j, 0j))),
-    (EigenPair(-1j, (0j, 1 + 0j, 0j, 1 + 0j)),
-     dict(value=-1j, vector=(0j, 1 + 0j, 0j, 1 + 0j))),
     (PolarForm(2.0, 0.5, _V, H), dict(modulus=2.0, theta=0.5, axis=_V, params=H)),
     (PolarForm(1.0, 0.0, None, H), dict(modulus=1.0, theta=0.0, axis=None, params=H)),
     (PolarForm(0.5, 0.0, None, _S), dict(modulus=0.5, theta=0.0, axis=None, params=_S)),

@@ -295,18 +295,18 @@ def test_eigenvector_residuals(rng, params):
             continue
         checked += 1
         m = as_array(left_matrix(p)).astype(complex)
-        for pair in pairs:
-            v = np.array(pair.vector)
-            residual = np.linalg.norm(m @ v - pair.value * v)
+        for value, vector in pairs:
+            v = np.array(vector)
+            residual = np.linalg.norm(m @ v - value * v)
             assert residual <= 1e-8 * np.linalg.norm(v)
 
 
 def test_eigenvectors_of_hamilton_example():
     p = GQuat(0.0, 1.0, 1.0, 1.0, H)
     m = as_array(left_matrix(p)).astype(complex)
-    for pair in eigenvectors(p):
-        v = np.array(pair.vector)
-        assert np.linalg.norm(m @ v - pair.value * v) <= 1e-10 * np.linalg.norm(v)
+    for value, vector in eigenvectors(p):
+        v = np.array(vector)
+        assert np.linalg.norm(m @ v - value * v) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_eigenvector_pairs_are_independent(rng):
@@ -318,9 +318,24 @@ def test_eigenvector_pairs_are_independent(rng):
             continue
         # Each eigenvalue of multiplicity two has two independent vectors.
         t_plus, t_minus = eigenvalues(p)
-        assert [pair.value for pair in pairs] == [t_plus, t_plus, t_minus, t_minus]
+        assert [value for value, _ in pairs] == [t_plus, t_plus, t_minus, t_minus]
         for half in (pairs[:2], pairs[2:]):
-            assert np.linalg.matrix_rank(np.array([pair.vector for pair in half])) == 2
+            assert np.linalg.matrix_rank(np.array([vector for _, vector in half])) == 2
+
+
+# A unit Hamilton element and one element each of split and 2,3,5, with a2 != 0.
+@pytest.mark.parametrize("q", [GQuat(0.6, 0.0, 0.8, 0.0, H),
+                               GQuat(0.5, 1.5, -0.25, 2.0, family("split")),
+                               GQuat(0.3, 0.2, 0.1, 0.05, ParamTriple(2.0, 3.0, 5.0))],
+                         ids=["hamilton", "split", "2,3,5"])
+def test_eigenvectors_are_plain_value_vector_pairs(q):
+    pairs = eigenvectors(q)
+    assert type(pairs) is tuple and len(pairs) == 4
+    for value, vector in pairs:
+        assert type(value) is complex and type(vector) is tuple and len(vector) == 4
+        assert all(type(z) is complex for z in vector)
+    t_plus, t_minus = eigenvalues(q)
+    assert [value for value, _ in pairs] == [t_plus, t_plus, t_minus, t_minus]
 
 
 def test_degenerate_axis_raises():

@@ -43,7 +43,6 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("batch_mixed", "batch_matrix")
 LAYERS = ("decode", "execute", "encode", "main")
 SIDES = ("parent", "change")
 CHUNK = 500
@@ -58,6 +57,10 @@ def _load(name: str, path: Path, search: list[str] | None = None):
     sys.modules[name] = module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+workloads = _load("workloads", ROOT / "bench" / "workloads.py")
+WORKLOADS = tuple(workloads.MIXES)
 
 
 def _tree(side: str, src: Path):
@@ -99,7 +102,6 @@ def _side(cli, lines: list[str], path: Path) -> tuple[dict, str]:
 
 def compare(parent_src: Path, pairs: int = 10, seed: int = 1, lines: int | None = None) -> dict:
     """Time both trees' ``src`` on alternating chunks in this interpreter; return the summary."""
-    workloads = _load("workloads", ROOT / "bench" / "workloads.py")
     clis = {"parent": _tree("parent", parent_src), "change": _tree("change", ROOT / "src")}
     runs = {name: {side: [] for side in SIDES} for name in WORKLOADS}
     identical = True

@@ -33,7 +33,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 47, 121)
-WORKLOADS = ("batch_mixed", "batch_matrix")
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads", ROOT / "bench" / "workloads.py")
+WORKLOADS = tuple(workloads.MIXES)
+
 
 # Run in each tree: argv is the tree's src, the output directory and the request files.
 # For each file it writes NAME.out, the batch output, and NAME.exit, one exit code a line.
@@ -57,13 +68,6 @@ for path in map(Path, sys.argv[3:]):
             codes.append(cli.execute_request(request)[1])
     (out_dir / (path.name + ".exit")).write_text("".join(f"{c}\\n" for c in codes))
 """
-
-
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class Report:
@@ -94,7 +98,6 @@ def _request_files(directory: Path, count: int, seeds, workload_lines) -> list[P
     if str(ROOT / "src") not in sys.path:
         sys.path.insert(0, str(ROOT / "src"))
     responses = _load("make_cli_responses", ROOT / "tests" / "data" / "make_cli_responses.py")
-    workloads = _load("workloads", ROOT / "bench" / "workloads.py")
     rng = random.Random(responses.SEED)
     requests = [*responses.FIXED, *(responses._request(rng) for _ in range(count))]
     files = [directory / "generated.ndjson"]
