@@ -27,8 +27,8 @@ from collections.abc import Callable, Sequence
 # The op table names its library functions as text ("polar.matrix_pow",
 # "wedge"), resolved in this module's namespace: these imports serve it.
 from . import lie, matrices, polar
-from .core import (GQuat, GVec3, ParamTriple, _Record, bilinear_f, family, wedge,
-                   wedge_triple_left, wedge_triple_right)
+from .core import (_FAMILIES, GQuat, GVec3, ParamTriple, _Record, bilinear_f, family,
+                   wedge, wedge_triple_left, wedge_triple_right)
 from .errors import AlgebraError, _show
 
 __all__ = ["main", "console_main", "execute_request", "OPS"]
@@ -57,6 +57,7 @@ def _parse_numbers(text: str, count: int, what: str) -> list[float]:
         raise RequestError(f"{what} has a non-numeric component: {_show(text)}") from None
 
 
+_NOT_A_NUMBER = "a JSON boolean is not a number"  # float(True) is 1.0, but true is no number
 _TRIPLES: dict[str | bytes, ParamTriple] = {}  # see parse_params
 _TRIPLES_MAX = 64
 _PACK3 = struct.Struct("3d")
@@ -68,7 +69,10 @@ def parse_params(value: object) -> ParamTriple:
     Successful parses are kept in ``_TRIPLES``, cleared when it holds ``_TRIPLES_MAX``, so
     a batch over a few algebras builds each triple once.  A string keys itself, a list the
     bytes of its three doubles, which tell -0.0 from 0.0 (equal, but printed differently).
+    A boolean, which packs as 1.0 or 0.0, is refused first, so no cached triple answers it.
     """
+    if isinstance(value, (list, tuple)) and bool in map(type, value):
+        raise RequestError(f"bad params {_show(value)}: {_NOT_A_NUMBER}")
     try:
         key = value if isinstance(value, str) else _PACK3.pack(*value)
     except (TypeError, OverflowError, struct.error):
@@ -127,6 +131,8 @@ def _coercer(cls: type, what: str) -> Callable[[object, ParamTriple], object]:
                 return cls._of(_parse_numbers(value, size, what), params)
         if isinstance(value, (list, tuple)) and len(value) == size:
             try:
+                if bool in map(type, value):
+                    raise TypeError(_NOT_A_NUMBER)
                 return cls._of(map(float, value), params)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise RequestError(f"bad {what} {_show(value)}: {exc}") from None
@@ -194,7 +200,7 @@ _ENCODE: dict[str, Callable[[object], object]] = {
         {"value": _complex(value), "vector": [_complex(z) for z in vector]}
         for value, vector in pairs
     ],
-    "char_poly": lambda cp: {"coefficients": cp.coefficients, "quadratic": cp.quadratic},
+    "char_poly": lambda cp: {"coefficients": cp[0], "quadratic": cp[1]},
 }
 
 
@@ -396,13 +402,13 @@ def _run_batch(path: str, inp, out, err) -> int:
 # Single-shot flag -> the request field it sets; each takes one value.
 _FLAGS = {"--params": "params", "--n": "n", "--s": "s"}
 
-_USAGE = """\
+_USAGE = f"""\
 usage: gq3 --params L1,L2,L3|NAME OP [OPERANDS...] [--n N] [--s S]
        gq3 batch FILE        (FILE "-" reads standard input)
 
 Operands are comma-separated literals: quaternions "a0,a1,a2,a3", vectors
-"a1,a2,a3", plain numbers for scalars.  Families: hamilton, split, semi,
-split-semi, quarter, 2param:l,m.  Batch files hold one JSON request per line.
+"a1,a2,a3", plain numbers for scalars.  Batch files hold one JSON request
+per line.  Families: {", ".join([*_FAMILIES, "2param:l,m"])}.
 Operations:
 """ + "".join(f"  {' '.join([*OPS][i:i + 6])}\n" for i in range(0, len(OPS), 6))
 

@@ -57,12 +57,9 @@ def _vanishes(value: float, scale: float, what: str) -> bool:
     return abs(value) <= 1e-12 * scale
 
 
-def _finite(x, isfinite=math.isfinite):
-    """Return ``x``, a number a public function returns; raise NonFinite if it is inf or NaN.
-
-    A complex ``x`` takes ``isfinite=cmath.isfinite``, which costs twice ``math.isfinite``.
-    """
-    if not isfinite(x):
+def _finite(x):
+    """Return ``x``, a number a public function returns; raise NonFinite if it is inf or NaN."""
+    if not math.isfinite(x):
         raise NonFinite(f"result {x} is not finite")
     return x
 

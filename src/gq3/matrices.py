@@ -22,7 +22,6 @@ from .errors import DegenerateAxis, NonFinite, _show
 __all__ = [
     "Mat3",
     "Mat4",
-    "CharPoly",
     "left_matrix",
     "right_matrix",
     "base_matrices",
@@ -170,38 +169,16 @@ def det4(m) -> float:
                    + r02 * _det3(rows, 0, 1, 3) - r03 * _det3(rows, 0, 1, 2))
 
 
-class CharPoly(_Record):
-    """Characteristic polynomial of a left-multiplication matrix.
+def char_poly(p: GQuat) -> tuple[tuple[float, ...], tuple[float, float, float]]:
+    """Characteristic polynomial (t^2 - 2*a0*t + norm(p))^2 of left_matrix(p), both ways.
 
-    Always the perfect square of a quadratic, so it is stored both ways:
-    ``coefficients`` holds the expanded degree-4 coefficients (low to high,
-    leading coefficient 1) and ``quadratic`` the repeated factor
-    t^2 - 2*a0*t + norm (low to high).  Calling it evaluates the expanded
-    polynomial at t by Horner's rule.
+    ``(coefficients, quadratic)``: the expanded degree-4 coefficients and the repeated
+    factor t^2 - 2*a0*t + norm, each low to high with leading coefficient 1.
     """
-
-    __match_args__ = ("coefficients", "quadratic")
-
-    def __init__(self, coefficients: tuple[float, float, float, float, float],
-                 quadratic: tuple[float, float, float]):
-        self._init_fields(coefficients, quadratic)
-
-    def __call__(self, t: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return _finite(acc, cmath.isfinite)
-
-
-def char_poly(p: GQuat) -> CharPoly:
-    """Characteristic polynomial (t^2 - 2*a0*t + norm(p))^2 of left_matrix(p)."""
     b = -2.0 * p.a0
     c = _dot(p.params._lam, p.components, p.components)
-    return CharPoly(
-        # Checked low to high; finite coefficients make the quadratic's finite.
-        coefficients=tuple(map(_finite, _char_coefficients(b, c))),
-        quadratic=(c, b, 1.0),
-    )
+    # Checked low to high; finite coefficients make the quadratic's finite.
+    return tuple(map(_finite, _char_coefficients(b, c))), (c, b, 1.0)
 
 
 def _char_coefficients(b, c):

@@ -27,7 +27,7 @@ from pathlib import Path
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 439
+COUNT = 441
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -131,6 +131,11 @@ FIXED += [
     {"params": "hamilton", "op": "scale", "operands": [10**400, [1, 0, 0, 0]]},
     {"params": "hamilton", "op": "period", "operands": [[1, 0, 0, 0]],
      "options": {"tolerance": 10**400}},
+]
+# A JSON boolean is no number, though float() takes it: in an operand and in a params list.
+FIXED += [
+    {"params": "hamilton", "op": "norm", "operands": [[True, 0, 0, 0]]},
+    {"params": [True, True, True], "op": "norm", "operands": [[1, 0, 0, 0]]},
 ]
 
 

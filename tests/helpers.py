@@ -103,3 +103,11 @@ def mat_close(a, b, tol: float, scale: float | None = None) -> bool:
 
 def as_array(m) -> np.ndarray:
     return np.asarray(m, dtype=float)
+
+
+def poly_at(coefficients, t: complex) -> complex:
+    """The polynomial with ``coefficients``, low to high, at ``t`` by Horner's rule."""
+    acc = 0j
+    for c in reversed(coefficients):
+        acc = acc * t + c
+    return acc

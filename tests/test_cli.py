@@ -415,16 +415,18 @@ def test_emit_writes_the_same_bytes_without_the_c_accelerator(monkeypatch):
 
 
 @pytest.mark.parametrize("op,operands,answer", [
-    ("mul", [[1, True, 0, 0], [2, 0, 0, 0]], '"quat":[2.0,2.0,0.0,0.0]'),
+    ("mul", [[1, 1, 0, 0], [2, 0, 0, 0]], '"quat":[2.0,2.0,0.0,0.0]'),
     ("wedge", [[1, 0, 0], [0, 1, 0]], '"vector":[0.0,0.0,1.0]'),
     ("norm", [[1, "a", 0, 0]],
      '"bad quaternion [1, \'a\', 0, 0]: could not convert string to float: \'a\'"'),
     ("bilinear", [[1, 0, 0], [None, 0, 0]],
      '"bad vector [None, 0, 0]: float() argument must be a string or a real number, '
      'not \'NoneType\'"'),
+    ("norm", [[1, True, 0, 0]],
+     '"bad quaternion [1, True, 0, 0]: a JSON boolean is not a number"'),
 ])
 def test_batch_components_are_copied_through_float(op, operands, answer):
-    # JSON integers and booleans become floats; any other component is a bad_request.
+    # JSON integers become floats; any other component, a boolean too, is a bad_request.
     out = io.StringIO()
     _emit(execute_request({"params": "hamilton", "op": op, "operands": operands})[0], out)
     assert answer in out.getvalue()
@@ -772,11 +774,31 @@ def test_execute_request_missing_params():
     {"op": "period", "operands": [[1.2, 0.3, 0, 0]], "options": {"tolerance": True}},
     {"op": "period", "operands": [[1.2, 0.3, 0, 0]], "options": {"tolerance": "0.6"}},
     {"op": "roots", "operands": [[0.6, 0.8, 0, 0]], "options": {"n": MAX_ROOT_DEGREE + 1}},
+    # A JSON boolean is no number, though float() takes it, wherever a number is read.
+    {"op": "norm", "operands": [[True, 0, 0, 0]]},
+    {"op": "bilinear", "operands": [[1, 0, 0], [0, False, 0]]},
+    {"op": "conj", "operands": [{"components": [0, 0, 0, True], "params": "split"}]},
+    {"op": "conj", "operands": [{"components": [0, 0, 0, 1], "params": [1, True, 1]}]},
+    {"params": [True, True, True], "op": "norm", "operands": [[1, 0, 0, 0]]},
+    {"params": (1.0, 1.0, False), "op": "norm", "operands": [[1, 0, 0, 0]]},
 ])
 def test_execute_request_rejects_bad_numbers(request_):
     response, code = execute_request({"params": [1, 1, 1], **request_})
     assert code == 2
     assert response["code"] == "bad_request"
+
+
+def test_a_boolean_is_refused_over_a_cached_triple():
+    # [true, true, true] packs to the bytes of [1, 1, 1], whose triple is then cached.
+    assert execute_request({"params": [1, 1, 1], "op": "norm", "operands": [[1, 0, 0, 0]]}) \
+        == ({"status": "ok", "result": {"scalar": 1.0}}, 0)
+    for params, operand, message in [
+            ([True, True, True], [1, 0, 0, 0], "bad params [True, True, True]"),
+            ([1, 1, 1], [True, 0, 0, 0], "bad quaternion [True, 0, 0, 0]")]:
+        request = {"params": params, "op": "norm", "operands": [operand]}
+        assert execute_request(request) == (
+            {"status": "error", "code": "bad_request",
+             "message": f"{message}: a JSON boolean is not a number"}, 2)
 
 
 def test_execute_request_ignores_unused_integer_options():

@@ -31,7 +31,7 @@ from gq3.lie import (ad_matrix, adjoint_closed_form, adjoint_group, adjoint_rodr
                      is_compact, skew_of_axis)
 from gq3.matrices import _TaggedMatrix, _det3, _float_rows
 from gq3.polar import euler_exp_matrix, matrix_pow, matrix_roots, polar_matrix
-from helpers import FAMILIES, as_array, random_quat, random_vec, rel_close
+from helpers import FAMILIES, as_array, poly_at, random_quat, random_vec, rel_close
 
 H = family("hamilton")
 
@@ -209,31 +209,48 @@ def test_det4_rejects_wrong_shape():
 # --- characteristic polynomial -------------------------------------------------------
 
 def test_char_poly_of_unit():
-    cp = char_poly(GQuat.scalar(1.0, H))
+    coefficients, quadratic = char_poly(GQuat.scalar(1.0, H))
     # (t - 1)^4 = 1 - 4t + 6t^2 - 4t^3 + t^4
-    assert cp.coefficients == (1.0, -4.0, 6.0, -4.0, 1.0)
-    assert cp.quadratic == (1.0, -2.0, 1.0)
+    assert coefficients == (1.0, -4.0, 6.0, -4.0, 1.0)
+    assert quadratic == (1.0, -2.0, 1.0)
+
+
+# One element each of hamilton, split and 2,3,5 whose norm and coefficients are exact.
+@pytest.mark.parametrize("q, expected", [
+    (GQuat(0.5, 0.5, 0.5, 0.5, H), ((1.0, -2.0, 3.0, -2.0, 1.0), (1.0, -1.0, 1.0))),
+    (GQuat(0.5, 1.5, -0.25, 2.0, family("split")),
+     ((2.44140625, 3.125, -2.125, -2.0, 1.0), (-1.5625, -1.0, 1.0))),
+    (GQuat(0.5, 0.5, 0.25, 0.25, ParamTriple(2.0, 3.0, 5.0)),
+     ((10.97265625, -6.625, 7.625, -2.0, 1.0), (3.3125, -1.0, 1.0))),
+], ids=["hamilton", "split", "2,3,5"])
+def test_char_poly_is_a_plain_pair_of_float_tuples(q, expected):
+    result = char_poly(q)
+    assert type(result) is tuple and len(result) == 2
+    coefficients, quadratic = result
+    assert type(coefficients) is tuple and len(coefficients) == 5
+    assert type(quadratic) is tuple and len(quadratic) == 3
+    assert all(type(c) is float for c in (*coefficients, *quadratic))
+    assert result == expected
 
 
 def test_char_poly_is_square_of_quadratic(rng):
     for params in FAMILIES:
         p = random_quat(rng, params)
-        cp = char_poly(p)
-        c0, c1, c2 = cp.quadratic
+        coefficients, (c0, c1, c2) = char_poly(p)
         assert c2 == 1.0
         expanded = np.polymul([c2, c1, c0], [c2, c1, c0])[::-1]
-        assert np.allclose(expanded, cp.coefficients, rtol=0,
+        assert np.allclose(expanded, coefficients, rtol=0,
                            atol=1e-12 * max(1.0, np.abs(expanded).max()))
-        assert cp.coefficients[-1] == 1.0
+        assert coefficients[-1] == 1.0
 
 
 @pytest.mark.parametrize("params", FAMILIES)
 def test_char_poly_vanishes_on_eigenvalues(rng, params):
     for _ in range(30):
         p = random_quat(rng, params)
-        cp = char_poly(p)
+        coefficients, _ = char_poly(p)
         for value in eigenvalues(p):
-            assert abs(cp(value)) <= 1e-8
+            assert abs(poly_at(coefficients, value)) <= 1e-8
 
 
 @pytest.mark.parametrize("params", FAMILIES)
@@ -246,7 +263,7 @@ def test_char_poly_matches_determinant_sampling(rng, params):
         samples = [det4(m - t * np.eye(4)) for t in ts]
         vander = np.vander(ts, 5, increasing=True)
         coeffs = np.linalg.solve(vander, samples)
-        got = char_poly(p).coefficients
+        got, _ = char_poly(p)
         assert np.allclose(coeffs, got, rtol=0, atol=1e-8 * max(1.0, np.abs(coeffs).max()))
 
 

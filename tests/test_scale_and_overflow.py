@@ -81,10 +81,9 @@ def test_non_finite_is_an_algebra_error_and_a_value_error():
     lambda: bilinear_f(BIG_VEC, BIG_VEC),
     lambda: killing_form(BIG_VEC, BIG_VEC),
     lambda: char_poly(GQuat(1e100, 1e100, 0.0, 0.0, H)),  # norm 2e200, its square inf
-    lambda: char_poly(GQuat.scalar(1.0, H))(1e100),  # (t - 1)^4 at t = 1e100
 ], ids=["mul", "scale", "add", "mat3", "inverse", "adjoint", "polar", "matrix-pow-int",
         "matrix-pow-angle", "scaled-pow-period", "pow-long-n", "scaled-pow-long-n-s",
-        "norm", "dot", "det4", "bilinear", "killing", "char-poly", "char-poly-call"])
+        "norm", "dot", "det4", "bilinear", "killing", "char-poly"])
 def test_overflow_raises_non_finite(compute):
     with pytest.raises(NonFinite):
         compute()
