@@ -40,21 +40,17 @@ _MESSAGE_MAX = 1024  # an error message past this many characters keeps them and
 _LINE_MAX = 1 << 20  # a batch line past this many bytes is answered bad_request, undecoded
 
 
-class RequestError(Exception):
-    """Malformed request or argv: unknown op or flag, bad literal, wrong arity, missing option."""
-
-
 # --- operand and parameter parsing ------------------------------------------
 
 
 def _parse_numbers(text: str, count: int, what: str) -> list[float]:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != count:
-        raise RequestError(f"{what} needs {count} comma-separated numbers, got {_show(text)}")
+        raise ValueError(f"{what} needs {count} comma-separated numbers, got {_show(text)}")
     try:
         return [float(piece) for piece in parts]
     except ValueError:
-        raise RequestError(f"{what} has a non-numeric component: {_show(text)}") from None
+        raise ValueError(f"{what} has a non-numeric component: {_show(text)}") from None
 
 
 _NOT_A_NUMBER = "a JSON boolean is not a number"  # float(True) is 1.0, but true is no number
@@ -72,7 +68,7 @@ def parse_params(value: object) -> ParamTriple:
     A boolean, which packs as 1.0 or 0.0, is refused first, so no cached triple answers it.
     """
     if isinstance(value, (list, tuple)) and bool in map(type, value):
-        raise RequestError(f"bad params {_show(value)}: {_NOT_A_NUMBER}")
+        raise ValueError(f"bad params {_show(value)}: {_NOT_A_NUMBER}")
     try:
         key = value if isinstance(value, str) else _PACK3.pack(*value)
     except (TypeError, OverflowError, struct.error):
@@ -88,22 +84,19 @@ def parse_params(value: object) -> ParamTriple:
 def _parse_params(value: object) -> ParamTriple:
     if isinstance(value, (list, tuple)):
         if len(value) != 3:
-            raise RequestError(f"params list needs 3 entries, got {_show(value)}")
+            raise ValueError(f"params list needs 3 entries, got {_show(value)}")
         try:
             return ParamTriple(*[float(v) for v in value])
         except (TypeError, ValueError, OverflowError) as exc:
-            raise RequestError(f"bad params {_show(value)}: {exc}") from None
+            raise ValueError(f"bad params {_show(value)}: {exc}") from None
     if isinstance(value, str):
         text = value.strip()
         name, colon, rest = text.partition(":")
         if not colon and any(ch.isdigit() for ch in text) and "," in text:
             return ParamTriple(*_parse_numbers(text, 3, "params"))
         values = _parse_numbers(rest, 2, "2param parameters") if colon else ()
-        try:
-            return family(name, *values)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
-    raise RequestError(f"cannot interpret params {_show(value)}")
+        return family(name, *values)
+    raise ValueError(f"cannot interpret params {_show(value)}")
 
 
 def _coercer(cls: type, what: str) -> Callable[[object, ParamTriple], object]:
@@ -117,10 +110,10 @@ def _coercer(cls: type, what: str) -> Callable[[object, ParamTriple], object]:
         if not isinstance(value, (list, tuple)):
             if isinstance(value, dict):
                 if set(value) - {"components", "params"}:
-                    raise RequestError(
+                    raise ValueError(
                         f"operand object allows keys components/params, got {_show(value)}")
                 if "components" not in value:
-                    raise RequestError(f"operand object needs 'components': {_show(value)}")
+                    raise ValueError(f"operand object needs 'components': {_show(value)}")
                 if "params" in value:
                     params = parse_params(value["params"])
                 value = value["components"]
@@ -135,8 +128,8 @@ def _coercer(cls: type, what: str) -> Callable[[object, ParamTriple], object]:
                     raise TypeError(_NOT_A_NUMBER)
                 return cls._of(map(float, value), params)
             except (TypeError, ValueError, OverflowError) as exc:
-                raise RequestError(f"bad {what} {_show(value)}: {exc}") from None
-        raise RequestError(f"expected a {what} ({size} components), got {_show(value)}")
+                raise ValueError(f"bad {what} {_show(value)}: {exc}") from None
+        raise ValueError(f"expected a {what} ({size} components), got {_show(value)}")
 
     return coerce
 
@@ -150,10 +143,10 @@ def _scalar(value: object, params: ParamTriple) -> float:
         if math.isfinite(number := float(value)):
             return number
     except (TypeError, ValueError):  # not a number, or text that is not one
-        raise RequestError(f"expected a number, got {_show(value)}") from None
+        raise ValueError(f"expected a number, got {_show(value)}") from None
     except OverflowError:  # an integer past the float range
         pass
-    raise RequestError(f"expected a finite number, got {_show(value)}")
+    raise ValueError(f"expected a finite number, got {_show(value)}")
 
 
 # Operand kind -> its coercer: (literal, the request's triple) -> library value.
@@ -164,11 +157,11 @@ _COERCE = {"quat": _coercer(GQuat, "quaternion"), "vec": _coercer(GVec3, "vector
 def _require_int_option(options: dict, key: str) -> int:
     value = options.get(key)
     if value is None:
-        raise RequestError(f"operation needs option --{key}")
+        raise ValueError(f"operation needs option --{key}")
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
             return int(value)
-        raise RequestError(f"option --{key} must be an integer, got {_show(value)}")
+        raise ValueError(f"option --{key} must be an integer, got {_show(value)}")
     return value
 
 
@@ -300,28 +293,28 @@ def execute_request(request: dict) -> tuple[dict, int]:
     """Run one request dict; return (response dict, exit code)."""
     try:
         if not isinstance(request, dict):
-            raise RequestError("request must be a JSON object")
+            raise ValueError("request must be a JSON object")
         op_name = request.get("op")
         op = OPS.get(op_name) if isinstance(op_name, str) else None
         if op is None:
-            raise RequestError(f"unknown operation {_show(op_name)}")
+            raise ValueError(f"unknown operation {_show(op_name)}")
         params_field = request.get("params")
         if params_field is None:
-            raise RequestError("request needs params (triple or family name)")
+            raise ValueError("request needs params (triple or family name)")
         params = parse_params(params_field)
         raw_operands = request.get("operands", [])
         if not isinstance(raw_operands, list):
-            raise RequestError("operands must be a list")
+            raise ValueError("operands must be a list")
         coercers = op._coercers
         if len(raw_operands) != len(coercers):
-            raise RequestError(
+            raise ValueError(
                 f"operation {_show(op_name)} needs {len(coercers)} operand(s), "
                 f"got {len(raw_operands)}")
         options = request.get("options", {})
         if options is None:
             options = {}
         if not isinstance(options, dict):
-            raise RequestError("options must be an object")
+            raise ValueError("options must be an object")
         # An op without operands acts on the parameter triple itself.
         args = [] if coercers else [params]
         for coerce, value in zip(coercers, raw_operands):
@@ -330,8 +323,8 @@ def execute_request(request: dict) -> tuple[dict, int]:
             args.append(_require_int_option(options, key))
         # The unit gates are fixed: a request asking for a looser one is refused, not answered.
         if options.get("tolerance") is not None:
-            raise RequestError(f"operation {_show(op_name)} takes no tolerance")
-    except (RequestError, ValueError, TypeError, OverflowError) as exc:
+            raise ValueError(f"operation {_show(op_name)} takes no tolerance")
+    except (ValueError, TypeError, OverflowError) as exc:
         # includes literals that parse as floats but are not finite ("nan")
         # and integers too large for a float
         return _error("bad_request", exc), EXIT_USAGE
@@ -430,13 +423,13 @@ def _parse_argv(argv: Sequence[str]) -> tuple[dict, bool]:
         elif token in _FLAGS:
             value = next(tokens, None)
             if value is None:
-                raise RequestError(f"{token} needs a value")
+                raise ValueError(f"{token} needs a value")
             if token == "--params":
                 request["params"] = value
             else:
                 request["options"][_FLAGS[token]] = _literal(value)
         elif token.startswith("--"):
-            raise RequestError(f"unknown option {_show(token)}")
+            raise ValueError(f"unknown option {_show(token)}")
         elif request["op"] is None:
             request["op"] = token
         else:
@@ -462,7 +455,7 @@ def main(argv: Sequence[str] | None = None, *, stdin=None, stdout=None, stderr=N
 
     try:
         request, wants_help = _parse_argv(argv)
-    except RequestError as exc:
+    except ValueError as exc:
         return _fail(err, exc, _USAGE)
 
     op = request["op"]

@@ -70,8 +70,7 @@ class _Record:
     A subclass names its fields, in constructor order, in ``__match_args__``, each an
     attribute of the instance; ``_fields`` is their tuple.  Records are equal when they
     are of the same class and their field tuples are equal; the hash is that of the
-    field tuple.  Assignment and deletion raise ``dataclasses.FrozenInstanceError``,
-    imported only then: the dataclasses module costs a process more than all of gq3.
+    field tuple.  Assignment and deletion raise AttributeError.
     """
 
     @property
@@ -95,14 +94,10 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --- kernels: each closed form once, as plain arithmetic over lam = (l1, l2, l3) and

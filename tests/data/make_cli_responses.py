@@ -27,7 +27,7 @@ from pathlib import Path
 from gq3.cli import OPS, _emit, execute_request
 
 SEED = 20261019
-COUNT = 441
+COUNT = 443
 OUT = Path(__file__).with_name("cli_responses.ndjson")
 
 ANGLE_OPS = {"polar", "pow", "matrix-pow", "exp", "exp-matrix", "roots", "period", "scaled-pow",
@@ -136,6 +136,11 @@ FIXED += [
 FIXED += [
     {"params": "hamilton", "op": "norm", "operands": [[True, 0, 0, 0]]},
     {"params": [True, True, True], "op": "norm", "operands": [[1, 0, 0, 0]]},
+]
+# A non-finite 2param parameter: family's own NonFinite, answered bad_request with its text.
+FIXED += [
+    {"params": "2param:1e999,1", "op": "norm", "operands": [[1, 0, 0, 0]]},
+    {"params": "2param:nan,1", "op": "norm", "operands": [[1, 0, 0, 0]]},
 ]
 
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gq3 import ParamTriple, cli, errors
-from gq3.cli import OPS, RequestError, _emit, execute_request, main, parse_params
+from gq3.cli import OPS, _emit, execute_request, main, parse_params
 from gq3.polar import MAX_ROOT_DEGREE
 from helpers import EDGE_INTS, EDGE_QUATS, EDGE_SCALARS, EDGE_VECS
 
@@ -709,12 +709,16 @@ def test_cli_bytes_match_the_committed_responses(tmp_path):
     assert STABLE_CODES - codes == {"no_period", "congruence_violation"}  # known after atan2
 
 
-def test_generator_writes_the_committed_responses(tmp_path):
-    spec = importlib.util.spec_from_file_location("make_cli_responses",
-                                                  CLI_RESPONSES.with_name("make_cli_responses.py"))
+def _generator(name: str):
+    # The module of tests/data/NAME.py, which writes one of the committed files.
+    spec = importlib.util.spec_from_file_location(name, CLI_RESPONSES.with_name(f"{name}.py"))
     generator = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generator)
-    generator.main(tmp_path / "responses.ndjson")
+    return generator
+
+
+def test_generator_writes_the_committed_responses(tmp_path):
+    _generator("make_cli_responses").main(tmp_path / "responses.ndjson")
     assert (tmp_path / "responses.ndjson").read_bytes() == CLI_RESPONSES.read_bytes()
 
 
@@ -730,13 +734,27 @@ def _digests(path: Path) -> dict[str, str]:
 
 def test_batch_answers_to_the_bench_workloads_match_the_committed_digests(tmp_path):
     # tests/data/make_batch_digests.py hashes each op's gq3 batch lines per workload and seed.
-    spec = importlib.util.spec_from_file_location("make_batch_digests",
-                                                  BATCH_DIGESTS.with_name("make_batch_digests.py"))
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
-    generator.main(tmp_path / "digests.json")
+    _generator("make_batch_digests").main(tmp_path / "digests.json")
     assert _digests(tmp_path / "digests.json") == _digests(BATCH_DIGESTS)
     assert (tmp_path / "digests.json").read_bytes() == BATCH_DIGESTS.read_bytes()
+
+
+SINGLE_SHOT_DIGESTS = CLI_RESPONSES.with_name("single_shot_digests.json")
+
+
+def test_single_shot_runs_match_the_committed_digests():
+    # tests/data/make_single_shot_digests.py hashes the (argv, exit code, stdout, stderr) records
+    # of seeded argv lists per op and per malformed class; a failure names the groups that moved.
+    generator = _generator("make_single_shot_digests")
+    committed = json.loads(SINGLE_SHOT_DIGESTS.read_text(encoding="utf-8"))
+    assert generator.digests() == committed
+    assert committed.keys() == {*generator.OPS, *generator.CLASSES}
+    assert not committed.keys() & generator.responses.ANGLE_OPS
+
+
+def test_single_shot_generator_writes_the_committed_digests(tmp_path):
+    _generator("make_single_shot_digests").main(tmp_path / "digests.json")
+    assert (tmp_path / "digests.json").read_bytes() == SINGLE_SHOT_DIGESTS.read_bytes()
 
 
 @pytest.mark.parametrize("params,rows", [
@@ -965,8 +983,9 @@ def test_failed_params_parse_is_not_interned():
     for bad in ([1, 1, math.nan], [1, 1, 10 ** 400], "nosuch", "1,2", "2param:1", [1, 1]):
         messages = set()
         for _ in range(2):
-            with pytest.raises(RequestError) as info:
+            with pytest.raises(ValueError) as info:
                 parse_params(bad)
+            assert type(info.value) is ValueError
             messages.add(str(info.value))
         assert len(messages) == 1
     assert cli._TRIPLES == {}

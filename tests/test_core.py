@@ -72,10 +72,12 @@ def test_param_triple_rejects_non_finite():
 
 def test_values_are_immutable():
     p = GQuat(1.0, 2.0, 3.0, 4.0, H)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError) as info:
         p.a0 = 5.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert type(info.value) is AttributeError
+    with pytest.raises(AttributeError) as info:
         H.lambda1 = 2.0
+    assert type(info.value) is AttributeError
 
 
 # --- addition, subtraction, scaling -----------------------------------------
@@ -241,12 +243,12 @@ def test_records_compare_hash_and_print_by_their_fields(record, fields):
     assert repr(record) == f"{cls.__name__}({shown})"
     assert not dataclasses.is_dataclass(record)
     for name in (*fields, "other"):
-        with pytest.raises(dataclasses.FrozenInstanceError,
-                           match=rf"^cannot assign to field '{name}'$"):
+        with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$") as info:
             setattr(record, name, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError,
-                           match=rf"^cannot delete field '{name}'$"):
+        assert type(info.value) is AttributeError
+        with pytest.raises(AttributeError, match=rf"^cannot delete field '{name}'$") as info:
             delattr(record, name)
+        assert type(info.value) is AttributeError
     assert tuple(getattr(record, name) for name in fields) == values
 
 
@@ -659,8 +661,9 @@ def _assert_public_contract(value, params):
     assert type(value.components) is tuple and value.components is value.components
     for write in (lambda: setattr(value, "a1", 0.0), lambda: delattr(value, "a1"),
                   lambda: setattr(value, "foo", 1)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError) as info:
             write()
+        assert type(info.value) is AttributeError
 
 
 @pytest.mark.parametrize("build", sorted(_KERNEL_BUILT))

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import pickle
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -549,8 +548,9 @@ def test_matrices_are_frozen_and_still_copy(rng, params):
         for m in (kernel_built, type(kernel_built)(kernel_built)):
             for write in (lambda: setattr(m, "params", other), lambda: setattr(m, "foo", 1),
                           lambda: delattr(m, "params"), lambda: delattr(m, "foo")):
-                with pytest.raises(FrozenInstanceError):
+                with pytest.raises(AttributeError) as info:
                     write()
+                assert type(info.value) is AttributeError
             assert vars(m) == {}, name
             for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
                 assert type(twin) is type(m) and twin == m, name

@@ -1,6 +1,7 @@
 """The package's export list, the standard-library-only runtime, and the README tour."""
 
 import ast
+import builtins
 import io
 import operator
 import re
@@ -58,6 +59,51 @@ def test_runtime_imports_neither_dataclasses_nor_typing():
     loaded = _modules_after_import("-I", "-S", block_numpy=True)
     assert {"gq3.cli", "gq3.oracle"} <= loaded
     assert not loaded & {"dataclasses", "inspect", "typing", "numpy"}
+
+
+_ASSIGN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from gq3 import GQuat, ParamTriple, left_matrix
+params = ParamTriple(1.0, 1.0, 1.0)
+quat = GQuat(1.0, 0.0, 0.0, 0.0, params)
+for value, name in ((quat, "a0"), (params, "lambda1"), (left_matrix(quat), "params")):
+    try:
+        setattr(value, name, 2.0)
+    except Exception as exc:
+        print(type(exc).__name__)
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_assigning_to_a_frozen_value_raises_attribute_error_and_loads_nothing():
+    # A GQuat, a ParamTriple and a Mat4 refuse assignment with the built-in AttributeError,
+    # so raising it loads no module either.
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _ASSIGN, str(SRC)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["AttributeError"] * 3 + ["False"]
+
+
+def _raised_names(tree: ast.AST):
+    # (line, name) of each raise that names what it raises; a bare re-raise names nothing.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, getattr(exc, "id", None) or getattr(exc, "attr", None)
+
+
+def test_src_raises_only_gq3_errors_and_builtins():
+    # A caller catches what gq3 raises by gq3.errors' classes and Python's own exceptions.
+    def allowed(name):
+        builtin = getattr(builtins, name or "", None)
+        return name in errors.__all__ or (isinstance(builtin, type)
+                                           and issubclass(builtin, BaseException))
+
+    others = [f"{path.name}:{line} {name}"
+              for path in sorted((SRC / "gq3").glob("*.py"))
+              for line, name in _raised_names(ast.parse(path.read_text(encoding="utf-8")))
+              if not allowed(name)]
+    assert others == []
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
@@ -284,7 +330,7 @@ def test_removed_names_are_gone():
     removed = re.search(r"^### Removed\n\n((?:- .*\n(?:  .*\n)*)+)", text, re.M).group(1)
     names = re.findall(r"^- `([\w./]+)", removed, re.M)
     assert {"GQuat.one", "cli._scale", "Mat3/Mat4.tolist", "polar.RootSet",
-            "EigenPair", "CharPoly"} <= set(names)
+            "EigenPair", "CharPoly", "cli.RequestError"} <= set(names)
     # A record's fields live on its instances: the ledger's names cover those.
     api = _api_names()
     for name in (expanded for cell in names for expanded in _expand(cell)):
